@@ -5,8 +5,8 @@ feasible potential on the reweighted arena; collecting the distinct ones
 yields the energy lattice, and the optimal strategies split into one
 disjoint block per lattice element.  The enumeration below produces the
 lattice without touching the strategy space: it recursively restricts one
-Player-0 vertex at a time to its incompatible arcs, deduplicating
-subgames in a store.
+Player-0 vertex at a time to its incompatible arcs, visiting each
+subgame once.
 
 The second arena is degenerate: the recursion visits MORE basic subgames
 than there are lattice elements, i.e. distinct subgames can share their

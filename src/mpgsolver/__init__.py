@@ -10,17 +10,16 @@ total-payoff values to their energy fixpoint.  All arithmetic is exact
 path on small instances.
 """
 
-from .arena import (Arena, Rational, SubgameMask, apply_mask, parse_arena,
-                    reweight, serialize_arena, to_dot)
+from .arena import (Arena, SubgameMask, apply_mask, parse_arena, reweight,
+                    serialize_arena, to_dot)
 from .energy import (EnergyFunction, arena_cap, compatible_arcs, is_sepm,
-                     least_sepm, ominus, top_value, winning_regions)
+                     least_sepm, ominus, winning_regions)
 from .errors import (ArenaFormatError, InternalError, MaskError, MpgError,
                      NotNuValuedError, OracleBoundError, StrategyError)
 from .lattice import (DeltaBlock, EnergyLattice, SubgameLattice, SubgameNode,
-                      SubgameStore, decompose, enumerate_lattice,
-                      incompatible_arcs)
-from .potentials import (OnePlayerGraph, PositionalStrategy, delta_membership,
-                         is_conservative, least_feasible_potential, restrict)
+                      decompose, enumerate_lattice, incompatible_arcs)
+from .potentials import (PositionalStrategy, delta_membership, is_conservative,
+                         least_feasible_potential, restrict)
 from .ttpg import (TruncatedValueTable, audit_min_table, convergence_horizon,
                    min_ttpg, min_ttpg_fixpoint, plain_ttpg)
 from .values import (ErgodicClass, ErgodicPartition, ValueAssignment,
@@ -31,16 +30,16 @@ from .verify import BatteryReport, verify_arena
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arena", "Rational", "SubgameMask", "apply_mask", "parse_arena",
-    "reweight", "serialize_arena", "to_dot",
+    "Arena", "SubgameMask", "apply_mask", "parse_arena", "reweight",
+    "serialize_arena", "to_dot",
     "EnergyFunction", "arena_cap", "compatible_arcs", "is_sepm", "least_sepm",
-    "ominus", "top_value", "winning_regions",
+    "ominus", "winning_regions",
     "ArenaFormatError", "InternalError", "MaskError", "MpgError",
     "NotNuValuedError", "OracleBoundError", "StrategyError",
     "DeltaBlock", "EnergyLattice", "SubgameLattice", "SubgameNode",
-    "SubgameStore", "decompose", "enumerate_lattice", "incompatible_arcs",
-    "OnePlayerGraph", "PositionalStrategy", "delta_membership",
-    "is_conservative", "least_feasible_potential", "restrict",
+    "decompose", "enumerate_lattice", "incompatible_arcs",
+    "PositionalStrategy", "delta_membership", "is_conservative",
+    "least_feasible_potential", "restrict",
     "TruncatedValueTable", "audit_min_table", "convergence_horizon",
     "min_ttpg", "min_ttpg_fixpoint", "plain_ttpg",
     "ErgodicClass", "ErgodicPartition", "ValueAssignment",

@@ -10,9 +10,10 @@ Text format (UTF-8, LF, one statement per line):
     v <id> <0|1>          vertex declaration, owner 0 or 1
     e <src> <dst> <int>   arc declaration
 
-Ids match ``[A-Za-z0-9_]+``.  Canonical serialization writes one header
-comment, all ``v`` lines in declaration order, then ``e`` lines sorted by
-(src, dst) declaration index; parse/serialize round-trips bit-exactly.
+Ids match ``[A-Za-z0-9_]+`` and weights ``-?[0-9]+``.  Canonical
+serialization writes one header comment, all ``v`` lines in declaration
+order, then ``e`` lines sorted by (src, dst) declaration index;
+parse/serialize round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from fractions import Fraction
 
 from .errors import ArenaFormatError, MaskError
 
-# Exact rational used for game values and reweightings.
-Rational = Fraction
-
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class Arena:
@@ -219,11 +218,10 @@ def parse_arena(text):
                 if endpoint not in index:
                     raise ArenaFormatError("unknown vertex %r" % endpoint,
                                            lineno, raw.find(endpoint) + 1)
-            try:
-                w = int(weight)
-            except ValueError:
+            if not _INT_RE.match(weight):
                 raise ArenaFormatError("weight %r is not an integer" % weight,
-                                       lineno, raw.rfind(weight) + 1) from None
+                                       lineno, raw.rfind(weight) + 1)
+            w = int(weight)
             pair = (index[src], index[dst])
             if pair in arc_lines:
                 raise ArenaFormatError("duplicate arc %s -> %s" % (src, dst),

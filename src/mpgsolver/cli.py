@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import energy, lattice as lattice_mod, oracle, ttpg as ttpg_mod
@@ -225,14 +224,8 @@ def cmd_verify(args):
     if not jobs:
         print("error: give an arena file or --random", file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda job: _verify_one(job[0], job[1], args.max_strategies),
-                jobs))
-    else:
-        results = [_verify_one(tag, arena, args.max_strategies)
-                   for tag, arena in jobs]
+    results = [_verify_one(tag, arena, args.max_strategies)
+               for tag, arena in jobs]
     failed = 0
     skipped = 0
     for tag, arena, report in results:
@@ -299,7 +292,6 @@ def build_parser():
     p_verify.add_argument("--random", nargs=5, type=int,
                           metavar=("N", "MAX_OUT", "W_MAX", "SEED", "COUNT"))
     p_verify.add_argument("--max-strategies", type=int, default=10 ** 6)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

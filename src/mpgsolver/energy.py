@@ -27,10 +27,6 @@ def arena_cap(arena):
     return (arena.n - 1) * arena.W
 
 
-def top_value(cap):
-    return cap + 1
-
-
 def ominus(value, weight, cap):
     """Saturated subtraction: value (-) weight, clamped to [0, cap] + top."""
     if value > cap:
@@ -60,9 +56,6 @@ class EnergyFunction:
         self.values = values
         self.cap = cap
         self.scale = scale
-
-    def value(self, u):
-        return self.values[u]
 
     def is_top(self, u):
         return self.values[u] > self.cap

@@ -10,26 +10,28 @@ incompatible with the current subgame's least progress measure:
   1. compute the least progress measure f of the current subgame and emit
      it if unseen;
   2. for each Player-0 vertex u with a nonempty incompatible arc set E_u,
-     form the child keeping only E_u at u; skip children already in the
-     store; compute the child's least measure seeded from f; keep the
+     form the child keeping only E_u at u; skip children already
+     visited; compute the child's least measure seeded from f; keep the
      child only if that measure is finite everywhere;
   3. recurse into the kept children, last discovered first.
 
-An exact-membership store over canonical arc sets (and value vectors)
-guarantees each subgame and each measure is emitted exactly once.  The
-visited subgames, root included, form the basic-subgame lattice; taking
-least measures is the onto, antitone map to the energy lattice, and it can
-identify distinct subgames (degenerate games).
+One exact-membership index per kind of element, subgames keyed by their
+canonical arc sets and measures by their value vectors, guarantees each
+subgame and each measure is emitted exactly once.  The visited subgames,
+root included, form the basic-subgame lattice; taking least measures is
+the onto, antitone map to the energy lattice, and it can identify
+distinct subgames (degenerate games).
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from . import energy
 from .arena import SubgameMask, apply_mask, reweight
 from .errors import InternalError, NotNuValuedError
 from .potentials import delta_membership, PositionalStrategy
-
-import itertools
 
 
 def incompatible_arcs(arena, f, u):
@@ -41,39 +43,6 @@ def incompatible_arcs(arena, f, u):
     cap = f.cap
     return [(u, v) for v, w in arena.out[u]
             if f.values[u] < energy.ominus(f.values[v], w, cap)]
-
-
-class SubgameStore:
-    """Exact-membership index of visited subgames and emitted measures.
-
-    Keys are canonical per-vertex retained-arc tuples for subgames and
-    exact value vectors for measures.  Double insertion indicates a broken
-    enumeration and raises.
-    """
-
-    def __init__(self):
-        self._subgames = set()
-        self._sepms = set()
-
-    def contains_subgame(self, mask):
-        return mask.key() in self._subgames
-
-    def insert_subgame(self, mask):
-        key = mask.key()
-        if key in self._subgames:
-            raise InternalError("subgame inserted twice")
-        self._subgames.add(key)
-
-    def contains_sepm(self, f):
-        return f.values in self._sepms
-
-    def insert_sepm(self, f):
-        if f.values in self._sepms:
-            raise InternalError("progress measure inserted twice")
-        self._sepms.add(f.values)
-
-    def __len__(self):
-        return len(self._subgames)
 
 
 class SubgameNode:
@@ -160,61 +129,52 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
         raise NotNuValuedError("reweighted arena is not everywhere winning; "
                                "input is not %s-valued" % (nu,))
     p0 = scaled.vertices_of(0)
-    store = SubgameStore()
     sepms = []
-    sepm_ids = {}
+    sepm_ids = {}  # measure values -> sepm id
     nodes = []
+    node_ids = {}  # mask key -> node id
 
-    def emit_sepm(f):
+    def emit(mask, f, parent_ids):
+        key = mask.key()
+        if key in node_ids:
+            raise InternalError("subgame inserted twice")
         sepm_id = sepm_ids.get(f.values)
         if sepm_id is None:
-            sepm_id = len(sepms)
-            sepm_ids[f.values] = sepm_id
-            store.insert_sepm(f)
+            sepm_id = sepm_ids[f.values] = len(sepms)
             sepms.append(f)
             if on_sepm is not None:
                 on_sepm(sepm_id, f)
-        return sepm_id
-
-    def emit_node(mask, f, parent_ids):
-        node = SubgameNode(len(nodes), mask, emit_sepm(f), parent_ids)
-        store.insert_subgame(mask)
+        node = SubgameNode(len(nodes), mask, sepm_id, parent_ids)
+        node_ids[key] = node.id
         nodes.append(node)
         if on_subgame is not None:
             on_subgame(node)
-        return node
-
-    node_index = {}  # mask key -> node id, for parent links on re-discovery
-    root_mask = SubgameMask.full(scaled)
-    root = emit_node(root_mask, root_f, [])
-    node_index[root_mask.key()] = root.id
+        return node.id
 
     # Explicit stack mirroring the recursion: children are pushed in
     # declaration order and expanded last-first.
-    pending = [(root.id, root_f)]
+    pending = [(emit(SubgameMask.full(scaled), root_f, []), root_f)]
     while pending:
         node_id, f = pending.pop()
         mask = nodes[node_id].mask
-        subgame = apply_mask(scaled, mask)
         for u in p0:
-            cut = incompatible_arcs(subgame, f, u)
+            kept = mask.retained[u]
+            cut = [v for _, v in incompatible_arcs(scaled, f, u) if v in kept]
             if not cut:
                 continue
-            child_mask = mask.with_restriction(u, [v for _, v in cut])
-            key = child_mask.key()
-            if store.contains_subgame(child_mask):
-                known = nodes[node_index[key]]
-                if node_id not in known.parent_ids:
-                    known.parent_ids.append(node_id)
+            child_mask = mask.with_restriction(u, cut)
+            known = node_ids.get(child_mask.key())
+            if known is not None:
+                parents = nodes[known].parent_ids
+                if node_id not in parents:
+                    parents.append(node_id)
                 continue
-            child = apply_mask(scaled, child_mask)
             child_f = energy.least_sepm(
-                child, seed=f if seed_children else None, cap=cap)
+                apply_mask(scaled, child_mask),
+                seed=f if seed_children else None, cap=cap)
             if not child_f.all_finite():
                 continue  # Player 0 no longer wins everywhere: pruned
-            node = emit_node(child_mask, child_f, [node_id])
-            node_index[key] = node.id
-            pending.append((node.id, child_f))
+            pending.append((emit(child_mask, child_f, [node_id]), child_f))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 
 
@@ -233,6 +193,14 @@ class DeltaBlock:
         return self.count > len(self.strategies)
 
 
+def _strategy(n, p0, picks):
+    """The positional strategy choosing ``picks`` at the vertices ``p0``."""
+    choice = [None] * n
+    for u, v in zip(p0, picks):
+        choice[u] = v
+    return PositionalStrategy(choice)
+
+
 def decompose(arena, nu, lattice, max_listed=None):
     """Split the optimal strategies into one block per extremal measure.
 
@@ -245,36 +213,24 @@ def decompose(arena, nu, lattice, max_listed=None):
     """
     scaled = reweight(arena, nu)
     p0 = scaled.vertices_of(0)
+    # islice rejects a negative count; such a cap lists nothing.
+    limit = None if max_listed is None else max(max_listed, 0)
     blocks = []
     for sepm_id, f in enumerate(lattice.sepms):
-        pools = []
-        for u in p0:
-            arcs = energy.compatible_arcs(scaled, f, u)
-            pools.append([v for _, v in arcs])
+        pools = [[v for _, v in energy.compatible_arcs(scaled, f, u)]
+                 for u in p0]
+        candidates = (_strategy(scaled.n, p0, picks)
+                      for picks in itertools.product(*pools))
         if sepm_id == 0:
-            count = 1
-            for pool in pools:
-                count *= len(pool)
+            count = math.prod(len(pool) for pool in pools)
+            listed = list(itertools.islice(candidates, limit))
+        else:
+            count = 0
             listed = []
-            for picks in itertools.product(*pools):
-                if max_listed is not None and len(listed) >= max_listed:
-                    break
-                choice = [None] * scaled.n
-                for u, v in zip(p0, picks):
-                    choice[u] = v
-                listed.append(PositionalStrategy(choice))
-            blocks.append(DeltaBlock(sepm_id, count, listed))
-            continue
-        count = 0
-        listed = []
-        for picks in itertools.product(*pools):
-            choice = [None] * scaled.n
-            for u, v in zip(p0, picks):
-                choice[u] = v
-            strategy = PositionalStrategy(choice)
-            if delta_membership(scaled, f, strategy):
-                count += 1
-                if max_listed is None or len(listed) < max_listed:
-                    listed.append(strategy)
+            for strategy in candidates:
+                if delta_membership(scaled, f, strategy):
+                    count += 1
+                    if limit is None or len(listed) < limit:
+                        listed.append(strategy)
         blocks.append(DeltaBlock(sepm_id, count, listed))
     return blocks

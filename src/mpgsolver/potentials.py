@@ -12,6 +12,7 @@ cycle is reachable).
 
 from __future__ import annotations
 
+from .arena import Arena
 from .energy import EnergyFunction, arena_cap, ominus
 from .errors import InternalError, StrategyError
 
@@ -62,41 +63,12 @@ class PositionalStrategy:
         return "PositionalStrategy(%r)" % (self.choice,)
 
 
-class OnePlayerGraph:
-    """Arena restricted to one strategy: P0 out-degree exactly 1."""
-
-    __slots__ = ("arena", "out", "W")
-
-    def __init__(self, arena, out):
-        self.arena = arena
-        self.out = tuple(tuple(row) for row in out)
-        self.W = max(abs(w) for row in self.out for _, w in row)
-
-    @property
-    def n(self):
-        return len(self.out)
-
-    @property
-    def names(self):
-        return self.arena.names
-
-    def arcs(self):
-        for u in range(self.n):
-            for v, w in self.out[u]:
-                yield u, v, w
-
-
 def restrict(arena, strategy):
-    """One-player graph keeping only the strategy's arcs at P0 vertices."""
+    """The arena keeping only the strategy's arcs at Player-0 vertices."""
     strategy.validate(arena)
-    out = []
-    for u in range(arena.n):
-        if arena.owner[u] == 0:
-            v = strategy.choice[u]
-            out.append([(v, arena.weight(u, v))])
-        else:
-            out.append(list(arena.out[u]))
-    return OnePlayerGraph(arena, out)
+    arcs = [(u, v, w) for u, v, w in arena.arcs()
+            if arena.owner[u] == 1 or v == strategy.choice[u]]
+    return Arena(arena.names, arena.owner, arcs, scale=arena.scale)
 
 
 def least_feasible_potential(graph, cap=None):
@@ -104,10 +76,11 @@ def least_feasible_potential(graph, cap=None):
 
     pi(v) is top exactly when a negative cycle is reachable from v.  Finite
     values on conservative parts never exceed (|V|-1)*W, so a value above
-    the cap would indicate a bug and raises InternalError.
+    the cap would indicate a bug and raises InternalError.  The cap
+    defaults to the graph's own (|V|-1)*W.
     """
     if cap is None:
-        cap = arena_cap(graph.arena)
+        cap = arena_cap(graph)
     top = cap + 1
     n = graph.n
     out = graph.out
@@ -144,7 +117,7 @@ def least_feasible_potential(graph, cap=None):
         if f[u] != top and f[u] > own_bound:
             raise InternalError("finite potential above (|V|-1)*W at %s"
                                 % graph.names[u])
-    return EnergyFunction(f, cap, graph.arena.scale)
+    return EnergyFunction(f, cap, graph.scale)
 
 
 def is_conservative(graph):

@@ -33,9 +33,6 @@ class ValueAssignment:
     def __init__(self, vals):
         self.vals = tuple(Fraction(v) for v in vals)
 
-    def value(self, u):
-        return self.vals[u]
-
     def to_json(self, arena):
         return {"values": {arena.names[u]: {"num": v.numerator,
                                             "den": v.denominator}
@@ -59,9 +56,6 @@ class ErgodicClass:
         self.nu = nu
         self.vertices = tuple(vertices)  # original arena indices, ascending
         self.subgame = subgame           # induced Arena on those vertices
-
-    def local_index(self, original):
-        return self.vertices.index(original)
 
     def __repr__(self):
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))

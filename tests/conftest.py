@@ -1,3 +1,4 @@
+import functools
 import os
 import pathlib
 import subprocess
@@ -43,8 +44,8 @@ def data_dir():
 
 
 @pytest.fixture
-def run_cli_process():
-    """Run ``python -m mpgsolver.cli ARGV`` in a child process.
+def run_python_process():
+    """Run ``python ARGV`` in a child process that imports this package.
 
     The child inherits this process's environment, or exactly ``env`` when
     given, with ``PYTHONPATH`` set to ``PACKAGE_PARENT``; so it runs the
@@ -54,6 +55,12 @@ def run_cli_process():
     def run(*argv, env=None, **kwargs):
         child_env = dict(os.environ if env is None else env,
                          PYTHONPATH=str(PACKAGE_PARENT))
-        return subprocess.run([sys.executable, "-m", "mpgsolver.cli", *argv],
-                              capture_output=True, env=child_env, **kwargs)
+        return subprocess.run([sys.executable, *argv], capture_output=True,
+                              env=child_env, **kwargs)
     return run
+
+
+@pytest.fixture
+def run_cli_process(run_python_process):
+    """Run ``python -m mpgsolver.cli ARGV`` through ``run_python_process``."""
+    return functools.partial(run_python_process, "-m", "mpgsolver.cli")

@@ -36,6 +36,9 @@ def test_parse_dead_end_rejected():
     ("v a 0\ne a zz 1\n", "unknown vertex"),
     ("v a 2\ne a a 1\n", "owner"),
     ("v a 0\ne a a x\n", "integer"),
+    ("v a 0\ne a a 1_0\n", "integer"),
+    ("v a 0\ne a a +3\n", "integer"),
+    ("v a 0\ne a a \u0661\u0662\n", "integer"),
     ("v a-b 0\n", "invalid id"),
     ("w a 0\n", "unknown statement"),
     ("v a 0\nv a 0\ne a a 1\n", "declared twice"),

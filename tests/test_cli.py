@@ -177,13 +177,6 @@ def test_verify_random_batch(capsys):
     assert "verified 6 arena(s), 0 failure(s)" in out
 
 
-def test_verify_random_parallel_jobs(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--random", "5", "2", "3",
-                           "11", "6", "--jobs", "3")
-    assert code == 0
-    assert "0 failure(s)" in out
-
-
 def test_verify_without_input_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mpgsolver import (Arena, EnergyFunction, InternalError, NotNuValuedError,
-                       SubgameMask, decompose, enumerate_lattice,
-                       incompatible_arcs, least_sepm, reweight)
-from mpgsolver.lattice import SubgameStore
+from mpgsolver import (Arena, EnergyFunction, NotNuValuedError, decompose,
+                       enumerate_lattice, incompatible_arcs, least_sepm,
+                       reweight)
 from mpgsolver.oracle import (exhaustive_opt, gen_random_arena,
                               reference_energy_lattice)
 from mpgsolver.potentials import delta_membership
@@ -179,17 +178,3 @@ def test_regrouping_by_potential_reproduces_lattice(gamma_ex):
         f = x.sepms[bl.sepm_id]
         regroup = {s.choice for s in opt if delta_membership(scaled, f, s)}
         assert regroup == {s.choice for s in bl.strategies}
-
-
-def test_store_rejects_double_insert(gamma_ex):
-    store = SubgameStore()
-    mask = SubgameMask.full(gamma_ex)
-    store.insert_subgame(mask)
-    assert store.contains_subgame(mask)
-    with pytest.raises(InternalError):
-        store.insert_subgame(mask)
-    f = least_sepm(reweight(gamma_ex, Fraction(-1)))
-    store.insert_sepm(f)
-    assert store.contains_sepm(f)
-    with pytest.raises(InternalError):
-        store.insert_sepm(f)

@@ -119,8 +119,16 @@ def test_conservative_iff_potential_finite():
         a = gen_random_arena(5, 3, 4, seed)
         for s in list(all_strategies(a))[:6]:
             g = restrict(a, s)
+            assert isinstance(g, Arena)
             pi = least_feasible_potential(g)
             assert is_conservative(g) == pi.all_finite()
+            # The default cap is the restricted arena's own; a wider cap
+            # changes only the encoding of top, not the finite values.
+            wide = least_feasible_potential(g, cap=arena_cap(a))
+            finite = pi.finite_vertices()
+            assert finite == wide.finite_vertices()
+            assert ([pi.values[u] for u in finite]
+                    == [wide.values[u] for u in finite])
 
 
 def test_strategy_potential_is_sepm_of_full_arena(rw_ex):
