@@ -1,10 +1,11 @@
 """Command-line surface: solve, enum, ttpg, verify.
 
-Exit codes: 0 success, 1 unreadable or malformed arena file, 2 internal
-invariant failure (a bug, not bad input), 3 verification found a broken
-identity.  MPG_LOG={quiet,info,debug} tunes logging.  Output is
-deterministic: running a command twice on the same input produces
-byte-identical output.
+Exit codes: 0 success, 1 unreadable or malformed arena file, 2 usage
+error, 3 verification found a broken identity, 4 internal invariant
+failure (a bug, not bad input), 141 stdout closed by its reader, as a
+shell reports SIGPIPE (nothing is printed then).
+MPG_LOG={quiet,info,debug} tunes logging.  Output is deterministic:
+running a command twice on the same input produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -252,6 +253,13 @@ def cmd_verify(args):
     return 3 if failed else 0
 
 
+def _listing_cap(text):
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % cap)
+    return cap
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mpg",
@@ -267,7 +275,7 @@ def build_parser():
     p_enum = sub.add_parser("enum", help="enumerate extremal progress "
                                          "measures and basic subgames")
     p_enum.add_argument("file")
-    p_enum.add_argument("--list-strategies", type=int, default=16,
+    p_enum.add_argument("--list-strategies", type=_listing_cap, default=16,
                         metavar="N", help="strategies listed per block "
                                           "(counts stay exact)")
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
@@ -304,13 +312,21 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Keep the flush at interpreter exit from failing a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OSError, ArenaFormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except InternalError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
-        return 2
+        return 4
     except MpgError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

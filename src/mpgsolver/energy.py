@@ -10,9 +10,12 @@ A small energy-progress measure (SEPM) f must, at every Player-0 vertex,
 dominate f(v) (-) w(u,v) for SOME successor v, and at every Player-1
 vertex for ALL successors, where (-) is truncated subtraction saturating
 at 0 below and at top above the cap.  The pointwise-least SEPM is computed
-by worklist value iteration: repeatedly lift a violating vertex to the
-smallest conforming value.  Its finite region is Player 0's winning region
-in the energy game.
+by worklist value iteration (Brim et al., FMSD 2011): repeatedly lift a
+violating vertex to the smallest conforming value.  One rule keeps the
+worklist complete: lifting u to a value x can only violate a predecessor
+p with f(p) < x (-) w(p,u), so exactly those predecessors are enqueued.
+The least SEPM's finite region is Player 0's winning region in the
+energy game.
 """
 
 from __future__ import annotations
@@ -115,13 +118,16 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
     ``seed`` must lie pointwise below the true least SEPM (a parent
     subgame's least SEPM qualifies, since dropping Player-0 arcs can only
     raise the fixpoint); by default iteration starts from all-zero.  The
-    FIFO worklist is seeded and served in vertex declaration order, so the
-    run is deterministic.  ``lift_counter``, if given, is a one-element
-    list accumulating the number of lift operations (diagnostic only).
+    FIFO worklist starts with the violated vertices in declaration order.
+    After u is lifted to ``target``, every predecessor p of u that is not
+    queued and has ``f[p] < target (-) w(p, u)`` is enqueued; this covers
+    u's own self-loop too.  A popped vertex is lifted only if it is still
+    violated, since a Player-0 vertex may be satisfied by another arc.
+    ``lift_counter``, if given, is a one-element list accumulating the
+    number of lift operations (diagnostic only).
     """
     if cap is None:
         cap = arena_cap(arena)
-    top = cap + 1
     n = arena.n
     if seed is None:
         f = [0] * n
@@ -129,26 +135,8 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
         if seed.cap != cap:
             raise InternalError("seed cap %d != cap %d" % (seed.cap, cap))
         f = list(seed.values)
-    out = arena.out
-    owner = arena.owner
-    # For Player-0 vertices, count successors currently satisfying the
-    # condition; the vertex is violated exactly when the count is zero.
-    count = [0] * n
-    queued = [False] * n
-    queue = deque()
-
-    def requirement(u, v, w):
-        return ominus(f[v], w, cap)
-
-    for u in range(n):
-        if owner[u] == 0:
-            count[u] = sum(1 for v, w in out[u] if f[u] >= requirement(u, v, w))
-            violated = count[u] == 0
-        else:
-            violated = any(f[u] < requirement(u, v, w) for v, w in out[u])
-        if violated:
-            queue.append(u)
-            queued[u] = True
+    queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]
+    queue = deque(u for u in range(n) if queued[u])
 
     lifts = 0
     while queue:
@@ -157,34 +145,12 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
         target = _lift_target(arena, f, cap, u)
         if target <= f[u]:
             continue
-        old = f[u]
-        f[u] = min(target, top)
+        f[u] = target
         lifts += 1
-        # u's own condition, evaluated with the new value; a self-loop can
-        # leave u violated again immediately.
-        if owner[u] == 0:
-            count[u] = sum(1 for v, w in out[u] if f[u] >= requirement(u, v, w))
-            if count[u] == 0:
-                queue.append(u)
-                queued[u] = True
-        elif any(f[u] < requirement(u, v, w) for v, w in out[u]):
-            queue.append(u)
-            queued[u] = True
         for p, w in arena.ins[u]:
-            if p == u:
-                continue  # self-loop already accounted for above
-            req_new = ominus(f[u], w, cap)
-            if owner[p] == 0:
-                req_old = ominus(old, w, cap)
-                if req_old <= f[p] < req_new:
-                    count[p] -= 1
-                    if count[p] == 0 and not queued[p]:
-                        queue.append(p)
-                        queued[p] = True
-            else:
-                if f[p] < req_new and not queued[p]:
-                    queue.append(p)
-                    queued[p] = True
+            if not queued[p] and f[p] < ominus(target, w, cap):
+                queue.append(p)
+                queued[p] = True
     if lift_counter is not None:
         lift_counter[0] += lifts
     return EnergyFunction(f, cap, arena.scale)

@@ -209,12 +209,13 @@ def decompose(arena, nu, lattice, max_listed=None):
     belongs to the block, so its count is the plain product; other blocks
     filter candidates by comparing the candidate's least feasible potential
     with f.  Counts are always exact; listed strategies are truncated at
-    ``max_listed`` (None lists everything).
+    ``max_listed`` (None lists everything; a negative cap raises
+    ValueError).
     """
+    if max_listed is not None and max_listed < 0:
+        raise ValueError("max_listed must be >= 0, got %d" % max_listed)
     scaled = reweight(arena, nu)
     p0 = scaled.vertices_of(0)
-    # islice rejects a negative count; such a cap lists nothing.
-    limit = None if max_listed is None else max(max_listed, 0)
     blocks = []
     for sepm_id, f in enumerate(lattice.sepms):
         pools = [[v for _, v in energy.compatible_arcs(scaled, f, u)]
@@ -223,14 +224,14 @@ def decompose(arena, nu, lattice, max_listed=None):
                       for picks in itertools.product(*pools))
         if sepm_id == 0:
             count = math.prod(len(pool) for pool in pools)
-            listed = list(itertools.islice(candidates, limit))
+            listed = list(itertools.islice(candidates, max_listed))
         else:
             count = 0
             listed = []
             for strategy in candidates:
                 if delta_membership(scaled, f, strategy):
                     count += 1
-                    if limit is None or len(listed) < limit:
+                    if max_listed is None or len(listed) < max_listed:
                         listed.append(strategy)
         blocks.append(DeltaBlock(sepm_id, count, listed))
     return blocks

@@ -98,15 +98,11 @@ def least_feasible_potential(graph, cap=None):
     if changed_last or any(x == top for x in f):
         # Still rising after |V| sweeps (or already saturated): every vertex
         # that can reach the rising set reaches a negative cycle.
-        ins = [[] for _ in range(n)]
-        for u in range(n):
-            for v, _ in out[u]:
-                ins[v].append(u)
         reach = set(changed_last) | {u for u in range(n) if f[u] == top}
         frontier = list(reach)
         while frontier:
             v = frontier.pop()
-            for u in ins[v]:
+            for u, _ in graph.ins[v]:
                 if u not in reach:
                     reach.add(u)
                     frontier.append(u)

@@ -50,13 +50,16 @@ def run_python_process():
     The child inherits this process's environment, or exactly ``env`` when
     given, with ``PYTHONPATH`` set to ``PACKAGE_PARENT``; so it runs the
     same package as the tests, whatever the working directory.  Other
-    keyword arguments go to ``subprocess.run``; output is always captured.
+    keyword arguments go to ``subprocess.run``; stdout and stderr are
+    captured unless given.
     """
     def run(*argv, env=None, **kwargs):
         child_env = dict(os.environ if env is None else env,
                          PYTHONPATH=str(PACKAGE_PARENT))
-        return subprocess.run([sys.executable, *argv], capture_output=True,
-                              env=child_env, **kwargs)
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        kwargs.setdefault("stderr", subprocess.PIPE)
+        return subprocess.run([sys.executable, *argv], env=child_env,
+                              **kwargs)
     return run
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 
 import pytest
 
+from mpgsolver import values as values_mod
 from mpgsolver.cli import main
+from mpgsolver.errors import InternalError
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +94,15 @@ def test_enum_strategy_listing_cap(capsys, data_dir):
     block = blob["classes"][0]["decomposition"][0]
     assert block["count"] == 2
     assert len(block["strategies"]) == 1
+
+
+def test_enum_rejects_negative_listing_cap(capsys, data_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", str(data_dir / "gamma_ex.mpg"),
+              "--list-strategies", "-1"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--list-strategies" in err and "must be >= 0" in err
 
 
 def test_enum_byte_identical_across_runs(data_dir, run_cli_process):
@@ -240,3 +252,32 @@ def test_console_script_entry_point(data_dir):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "A = -1" in proc.stdout
+
+
+def test_internal_error_exits_4(capsys, data_dir, monkeypatch):
+    def broken(arena):
+        raise InternalError("planted")
+    monkeypatch.setattr(values_mod, "solve_values", broken)
+    code, out, err = run_cli(capsys, "solve", str(data_dir / "gamma_ex.mpg"))
+    assert code == 4
+    assert out == ""
+    assert "internal error: planted" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(data_dir, run_cli_process,
+                                         unbuffered):
+    # The reader end is closed before the child starts, so its first write
+    # to stdout (or the flush of a buffered stdout) raises BrokenPipeError.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = run_cli_process("enum", str(data_dir / "gamma_ex.mpg"),
+                               env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

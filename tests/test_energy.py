@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mpgsolver import (Arena, EnergyFunction, SubgameMask, apply_mask,
-                       arena_cap, compatible_arcs, is_sepm, least_sepm,
-                       ominus, reweight, winning_regions)
+                       arena_cap, compatible_arcs, incompatible_arcs, is_sepm,
+                       least_sepm, ominus, reweight, winning_regions)
 from mpgsolver.oracle import gen_random_arena, naive_least_sepm
 
 GAMMA_EX_FSTAR = (0, 4, 8, 4, 0, 4, 0)  # A..G on the w+1 reweighting
@@ -85,11 +85,27 @@ def test_compatible_arcs(gamma_ex, gamma_d):
 
 
 def test_least_sepm_is_sepm_and_matches_kleene():
+    seeded_to_top = 0
     for seed in range(60):
-        a = gen_random_arena(5, 3, 4, seed)
-        f = least_sepm(a)
-        assert is_sepm(a, f)
-        assert f == naive_least_sepm(a)
+        base = gen_random_arena(5, 3, 4, seed)
+        for nu in (None, Fraction(0), Fraction(-1), Fraction(1, 2),
+                   Fraction(-3, 4)):
+            a = base if nu is None else reweight(base, nu)
+            f = least_sepm(a)
+            assert is_sepm(a, f)
+            assert f == naive_least_sepm(a)
+            # Seeded runs on masked children, as the lattice makes them:
+            # keep only the arcs incompatible with the parent's measure.
+            for u in a.vertices_of(0):
+                cut = [v for _, v in incompatible_arcs(a, f, u)]
+                if not cut:
+                    continue
+                child = apply_mask(
+                    a, SubgameMask.full(a).with_restriction(u, cut))
+                g = least_sepm(child, seed=f, cap=f.cap)
+                assert g == naive_least_sepm(child, cap=f.cap)
+                seeded_to_top += not g.all_finite()
+    assert seeded_to_top > 0
 
 
 def test_least_sepm_self_loop_climb():
@@ -102,6 +118,14 @@ def test_least_sepm_self_loop_climb():
     b = Arena(["p"], [0], [(0, 0, -1)])
     fb = least_sepm(b)
     assert not fb.all_finite()
+    # a P1 vertex must answer every arc: a zero self-loop costs nothing,
+    # so it settles at its escape's requirement ...
+    c = Arena(["p", "q"], [1, 1], [(0, 0, 0), (0, 1, -2), (1, 1, 0)])
+    assert least_sepm(c).values == (2, 0)
+    # ... while a negative self-loop pumps it to top despite the escape
+    d = Arena(["p", "q"], [1, 0], [(0, 0, -1), (0, 1, 0), (1, 1, 0)])
+    fd = least_sepm(d)
+    assert fd.is_top(0) and fd.values[1] == 0
 
 
 def test_seeded_restart_equals_cold_start(gamma_d):

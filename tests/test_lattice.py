@@ -138,6 +138,12 @@ def test_decompose_truncates_listing_not_count(gamma_ex):
     assert blocks[0].truncated and not blocks[1].truncated
 
 
+def test_decompose_rejects_negative_listing_cap(gamma_ex):
+    x, _ = enumerate_lattice(gamma_ex, Fraction(-1))
+    with pytest.raises(ValueError, match="max_listed"):
+        decompose(gamma_ex, Fraction(-1), x, max_listed=-1)
+
+
 def test_decompose_forced_arena():
     a = Arena(["p", "q"], [0, 1], [(0, 1, 1), (1, 0, -1)])
     x, _ = enumerate_lattice(a, Fraction(0))
