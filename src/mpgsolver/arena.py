@@ -14,6 +14,12 @@ Ids match ``[A-Za-z0-9_]+`` and weights ``-?[0-9]+``.  Canonical
 serialization writes one header comment, all ``v`` lines in declaration
 order, then ``e`` lines sorted by (src, dst) declaration index;
 parse/serialize round-trips bit-exactly.
+
+This module builds every arena.  Input is checked where it enters:
+``Arena(...)`` and ``parse_arena`` check ids, owners, arcs and dead ends.
+Arenas derived from a checked one (reweightings, masked subgames,
+strategy restrictions, value-class subgames) are built from its sorted
+rows by ``Arena._from_rows`` and are not checked again.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ class Arena:
 
     ``scale`` records the denominator accumulated by reweightings, so that
     energy levels computed on this arena are expressed in scaled units.
+
+    The constructor checks its input.  Derived arenas come from
+    ``_from_rows``, which trusts rows taken from a checked arena.
     """
 
     __slots__ = ("names", "owner", "out", "scale", "index", "ins", "W")
@@ -69,16 +78,27 @@ class Arena:
             if not out[u]:
                 raise ArenaFormatError("vertex %s has no outgoing arc" % names[u])
             out[u].sort()
-        ins = [[] for _ in range(n)]
-        for u in range(n):
-            for v, w in out[u]:
-                ins[v].append((u, w))
-        self.names = names
-        self.owner = owners
+        self._fill(names, owners, out, scale)
+
+    @classmethod
+    def _from_rows(cls, names, owners, out, scale):
+        """Unchecked arena; each ``out[u]`` must be a nonempty sequence of
+        in-range ``(dst, weight)`` pairs sorted by destination index."""
+        arena = cls.__new__(cls)
+        arena._fill(names, owners, out, scale)
+        return arena
+
+    def _fill(self, names, owners, out, scale):
+        self.names = tuple(names)
+        self.owner = tuple(owners)
         self.out = tuple(tuple(row) for row in out)
+        ins = [[] for _ in self.names]
+        for u, row in enumerate(self.out):
+            for v, w in row:
+                ins[v].append((u, w))
         self.ins = tuple(tuple(row) for row in ins)
-        self.index = {name: i for i, name in enumerate(names)}
-        self.W = max(abs(w) for row in out for _, w in row)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.W = max(abs(w) for row in self.out for _, w in row)
         self.scale = scale
 
     @property
@@ -259,21 +279,20 @@ def reweight(arena, nu):
     """
     nu = Fraction(nu)
     den, num = nu.denominator, nu.numerator
-    arcs = [(u, v, w * den - num) for u, v, w in arena.arcs()]
-    return Arena(arena.names, arena.owner, arcs, scale=arena.scale * den)
+    out = [[(v, w * den - num) for v, w in row] for row in arena.out]
+    return Arena._from_rows(arena.names, arena.owner, out, arena.scale * den)
 
 
 def apply_mask(arena, mask):
     """Subgame with Player-0 out-arcs restricted to the mask's choice."""
     mask.validate(arena)
-    arcs = []
-    for u in range(arena.n):
+    out = []
+    for u, row in enumerate(arena.out):
         if arena.owner[u] == 0:
             keep = set(mask.retained[u])
-            arcs.extend((u, v, w) for v, w in arena.out[u] if v in keep)
-        else:
-            arcs.extend((u, v, w) for v, w in arena.out[u])
-    return Arena(arena.names, arena.owner, arcs, scale=arena.scale)
+            row = [(v, w) for v, w in row if v in keep]
+        out.append(row)
+    return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
 
 
 def to_dot(arena):

@@ -66,9 +66,10 @@ class PositionalStrategy:
 def restrict(arena, strategy):
     """The arena keeping only the strategy's arcs at Player-0 vertices."""
     strategy.validate(arena)
-    arcs = [(u, v, w) for u, v, w in arena.arcs()
-            if arena.owner[u] == 1 or v == strategy.choice[u]]
-    return Arena(arena.names, arena.owner, arcs, scale=arena.scale)
+    out = [row if arena.owner[u] == 1
+           else [(v, w) for v, w in row if v == strategy.choice[u]]
+           for u, row in enumerate(arena.out)]
+    return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
 
 
 def least_feasible_potential(graph, cap=None):

@@ -31,9 +31,6 @@ class TruncatedValueTable:
     def k_max(self):
         return len(self.rows) - 1
 
-    def row(self, k):
-        return self.rows[k]
-
     def to_json(self, arena):
         return {
             "kind": self.kind,
@@ -48,7 +45,8 @@ class TruncatedValueTable:
         return "\n".join(lines) + "\n"
 
 
-def _plain_step(arena, prev):
+def _moves(arena, prev):
+    """One step: each vertex's owner picks the best total w + prev[v]."""
     row = []
     for u in range(arena.n):
         totals = [w + prev[v] for v, w in arena.out[u]]
@@ -57,32 +55,28 @@ def _plain_step(arena, prev):
 
 
 def _min_step(arena, prev):
-    row = []
-    for u in range(arena.n):
-        totals = [w + prev[v] for v, w in arena.out[u]]
-        move = max(totals) if arena.owner[u] == 0 else min(totals)
-        row.append(min(prev[u], move))
-    return row
+    """One min-variant step: Player 1 may stop with prev[u] instead."""
+    return [min(stay, move) for stay, move in zip(prev, _moves(arena, prev))]
+
+
+def _table(kind, arena, k):
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    step = _moves if kind == "plain" else _min_step
+    rows = [[0] * arena.n]
+    for _ in range(k):
+        rows.append(step(arena, rows[-1]))
+    return TruncatedValueTable(kind, rows)
 
 
 def plain_ttpg(arena, k):
     """Table of the k-step truncated game values, rows 0..k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    rows = [[0] * arena.n]
-    for _ in range(k):
-        rows.append(_plain_step(arena, rows[-1]))
-    return TruncatedValueTable("plain", rows)
+    return _table("plain", arena, k)
 
 
 def min_ttpg(arena, k):
     """Table of the min-variant values, rows 0..k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    rows = [[0] * arena.n]
-    for _ in range(k):
-        rows.append(_min_step(arena, rows[-1]))
-    return TruncatedValueTable("min", rows)
+    return _table("min", arena, k)
 
 
 def convergence_horizon(arena, w0_size, w1_size):
@@ -175,10 +169,9 @@ def audit_min_table(arena, table, fstar=None):
         if k == 0:
             continue
         prev = table.rows[k - 1]
+        moves = _moves(arena, prev)
         for u in range(arena.n):
-            totals = [w + prev[v] for v, w in arena.out[u]]
-            move = max(totals) if arena.owner[u] == 0 else min(totals)
-            if prev[u] < move and row[u] != 0:
+            if prev[u] < moves[u] and row[u] != 0:
                 failures.append("k=%d %s: stay preferred but value %d != 0"
                                 % (k, arena.names[u], row[u]))
     return failures

@@ -61,19 +61,6 @@ class ErgodicClass:
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))
 
 
-class ErgodicPartition:
-    __slots__ = ("classes",)
-
-    def __init__(self, classes):
-        self.classes = list(classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def _candidate_in(lo, hi, n):
     """The unique rational with denominator <= n in [lo, hi), if any."""
     for d in range(1, n + 1):
@@ -116,9 +103,9 @@ def solve_values(arena):
 def ergodic_partition(arena, vals):
     """Group vertices by value; each class induces a nu-valued subgame.
 
-    Classes are ordered by first occurrence in declaration order.  A
-    dead-end inside an induced subgame cannot happen when the values are
-    correct and is reported as an internal error.
+    Returns a list of ErgodicClass, ordered by first occurrence in
+    declaration order.  A dead-end inside an induced subgame cannot happen
+    when the values are correct and is reported as an internal error.
     """
     order = []
     by_value = {}
@@ -132,17 +119,18 @@ def ergodic_partition(arena, vals):
     for nu in order:
         members = by_value[nu]
         local = {u: i for i, u in enumerate(members)}
-        names = [arena.names[u] for u in members]
-        owners = [arena.owner[u] for u in members]
-        arcs = [(local[u], local[v], w)
-                for u in members for v, w in arena.out[u] if v in local]
-        try:
-            subgame = Arena(names, owners, arcs, scale=arena.scale)
-        except Exception as exc:
-            raise InternalError(
-                "value class %s does not induce a subgame: %s" % (nu, exc))
+        out = [[(local[v], w) for v, w in arena.out[u] if v in local]
+               for u in members]
+        for u, row in zip(members, out):
+            if not row:
+                raise InternalError(
+                    "value class %s does not induce a subgame: vertex %s "
+                    "has no outgoing arc" % (nu, arena.names[u]))
+        subgame = Arena._from_rows([arena.names[u] for u in members],
+                                   [arena.owner[u] for u in members],
+                                   out, arena.scale)
         classes.append(ErgodicClass(nu, members, subgame))
-    return ErgodicPartition(classes)
+    return classes
 
 
 def synthesize_optimal(arena, vals):
@@ -182,7 +170,6 @@ def is_optimal(arena, vals, strategy):
     """
     from . import oracle  # local import: oracle depends on this module
 
-    strategy.validate(arena)
     graph = restrict(arena, strategy)
     payoffs = oracle.payoff_vector(graph)
     return all(payoffs[u] == vals.vals[u] for u in range(arena.n))

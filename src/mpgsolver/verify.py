@@ -159,7 +159,7 @@ def _check_ttpg(report, arena):
                             % (k, arena.names[u]))
 
 
-def verify_arena(arena, max_strategies=10 ** 6, check_ttpg=True):
+def verify_arena(arena, max_strategies=10 ** 6):
     """Run the whole battery; returns a BatteryReport."""
     report = BatteryReport()
 
@@ -186,6 +186,5 @@ def verify_arena(arena, max_strategies=10 ** 6, check_ttpg=True):
     for cls in partition:
         _check_class(report, cls.subgame, cls.nu, max_strategies)
 
-    if check_ttpg:
-        _check_ttpg(report, arena)
+    _check_ttpg(report, arena)
     return report

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from mpgsolver import (Arena, ArenaFormatError, MaskError, SubgameMask,
-                       apply_mask, parse_arena, reweight, serialize_arena,
-                       to_dot)
+                       apply_mask, decompose, enumerate_lattice,
+                       ergodic_partition, parse_arena, restrict, reweight,
+                       serialize_arena, solve_values, to_dot)
 from mpgsolver.oracle import gen_random_arena
 
 
@@ -172,3 +173,30 @@ def test_weight_lookup(gamma_ex):
     assert gamma_ex.weight(gamma_ex.index["C"], gamma_ex.index["D"]) == -5
     with pytest.raises(KeyError):
         gamma_ex.weight(gamma_ex.index["A"], gamma_ex.index["C"])
+
+
+def assert_same_as_checked(derived):
+    """A derived arena equals the one the checking constructor builds."""
+    checked = Arena(derived.names, derived.owner, list(derived.arcs()),
+                    derived.scale)
+    for slot in ("names", "owner", "out", "ins", "index", "W", "scale"):
+        assert getattr(derived, slot) == getattr(checked, slot), slot
+
+
+@pytest.mark.parametrize("n,seed", [(5, s) for s in range(8)]
+                         + [(8, s) for s in range(4)])
+def test_derived_arenas_match_checked_construction(n, seed):
+    a = gen_random_arena(n, 3, 4, seed)
+    for nu in (Fraction(0), Fraction(1, 3), Fraction(-5, 2)):
+        assert_same_as_checked(reweight(a, nu))
+    for cls in ergodic_partition(a, solve_values(a)):
+        sub, nu = cls.subgame, cls.nu
+        assert_same_as_checked(sub)
+        scaled = reweight(sub, nu)
+        assert_same_as_checked(scaled)
+        x, b = enumerate_lattice(sub, nu)
+        for node in b.nodes:
+            assert_same_as_checked(apply_mask(scaled, node.mask))
+        for block in decompose(sub, nu, x):
+            for strategy in block.strategies:
+                assert_same_as_checked(restrict(scaled, strategy))

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mpgsolver import (Arena, compatible_arcs, ergodic_partition, is_optimal,
-                       least_sepm, reweight, solve_values, synthesize_optimal)
+from mpgsolver import (Arena, InternalError, ValueAssignment, compatible_arcs,
+                       ergodic_partition, is_optimal, least_sepm, reweight,
+                       solve_values, synthesize_optimal)
 from mpgsolver.oracle import exhaustive_opt, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
 
@@ -48,7 +49,7 @@ def test_values_match_oracle_and_small_denominators():
 def test_ergodic_partition_single_class(gamma_ex):
     part = ergodic_partition(gamma_ex, solve_values(gamma_ex))
     assert len(part) == 1
-    cls = part.classes[0]
+    cls = part[0]
     assert cls.nu == Fraction(-1)
     assert cls.subgame == gamma_ex
 
@@ -60,6 +61,13 @@ def test_ergodic_partition_two_loops():
         (Fraction(1), (0,)), (Fraction(2), (1,))]
     for cls in part:
         assert cls.subgame.n == 1
+
+
+def test_ergodic_partition_rejects_class_without_inner_arc():
+    # Wrong values put p alone in a class, but p's only arc leaves it.
+    a = Arena(["p", "q"], [0, 1], [(0, 1, 0), (1, 1, 0)])
+    with pytest.raises(InternalError, match="vertex p has no outgoing arc"):
+        ergodic_partition(a, ValueAssignment([1, 0]))
 
 
 def test_partition_covers_vertices():
