@@ -11,8 +11,8 @@ enumeration (see enumerate_lattices.py) exists to repair.
 
 from fractions import Fraction
 
-from mpgsolver import (compatible_arcs, is_optimal, least_sepm, parse_arena,
-                       reweight, solve_values, synthesize_optimal)
+from mpgsolver import (compatible_arcs, ergodic_partition, is_optimal,
+                       parse_arena, reweight, solve_values, synthesize_optimal)
 from mpgsolver.potentials import PositionalStrategy
 
 ARENA = """
@@ -46,11 +46,12 @@ def main():
     for u, name in enumerate(arena.names):
         print("  val(%s) = %s" % (name, vals.vals[u]))
 
-    nu = vals.vals[0]
+    (cls,) = ergodic_partition(arena, vals)  # one value class: all of it
+    nu = cls.nu
     scaled = reweight(arena, nu)
     print("\nreweighting by w - (%s) shifts every weight by +1" % nu)
 
-    f = least_sepm(scaled)
+    f = cls.least_sepm()
     print("least energy-progress measure of the reweighted game:")
     print(" ", " ".join("%s=%d" % (n, v)
                         for n, v in zip(arena.names, f.values)))
@@ -59,7 +60,7 @@ def main():
     good = [arena.names[v] for _, v in compatible_arcs(scaled, f, e)]
     print("\narcs at E compatible with the least measure:", ", ".join(good))
 
-    strategy = synthesize_optimal(arena, vals)
+    strategy = synthesize_optimal(arena, [cls])
     print("synthesized optimal strategy:")
     for u, v in enumerate(strategy.choice):
         if v is not None:

@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import energy, lattice as lattice_mod, oracle, ttpg as ttpg_mod
+from . import lattice as lattice_mod, oracle, ttpg as ttpg_mod
 from . import values as values_mod, verify as verify_mod
 from .arena import parse_arena, reweight, serialize_arena
 from .errors import (ArenaFormatError, InternalError, MpgError,
@@ -56,19 +56,15 @@ def cmd_solve(args):
     partition = values_mod.ergodic_partition(arena, vals)
     log.info("%d value class(es): %s", len(partition),
              ", ".join(_frac_text(c.nu) for c in partition))
-    strategy = values_mod.synthesize_optimal(arena, vals)
+    strategy = values_mod.synthesize_optimal(arena, partition)
     if not values_mod.is_optimal(arena, vals, strategy):
         raise InternalError("synthesized strategy failed the payoff check")
     if args.format == "json":
-        classes = []
-        for cls in partition:
-            scaled = reweight(cls.subgame, cls.nu)
-            f = energy.least_sepm(scaled)
-            classes.append({
-                "nu": _frac_json(cls.nu),
-                "vertices": [arena.names[u] for u in cls.vertices],
-                "least_sepm": f.to_json(cls.subgame),
-            })
+        classes = [{
+            "nu": _frac_json(cls.nu),
+            "vertices": [arena.names[u] for u in cls.vertices],
+            "least_sepm": cls.least_sepm().to_json(cls.subgame),
+        } for cls in partition]
         print(json.dumps({
             "values": vals.to_json(arena)["values"],
             "classes": classes,
@@ -79,8 +75,7 @@ def cmd_solve(args):
         for u in range(arena.n):
             print("  %s = %s" % (arena.names[u], _frac_text(vals.vals[u])))
         for i, cls in enumerate(partition):
-            scaled = reweight(cls.subgame, cls.nu)
-            f = energy.least_sepm(scaled)
+            f = cls.least_sepm()
             print("class %d: nu = %s, vertices %s" % (
                 i, _frac_text(cls.nu),
                 ",".join(arena.names[u] for u in cls.vertices)))
@@ -183,17 +178,17 @@ def cmd_ttpg(args):
             return 2
         arena = reweight(arena, vals.vals[0])
     if args.fixpoint:
+        # min_ttpg_fixpoint raises InternalError unless f is least_sepm.
         f, k_reached, _ = ttpg_mod.min_ttpg_fixpoint(arena)
-        agrees = f == energy.least_sepm(arena)
         if args.format == "json":
             print(json.dumps({
                 "k_reached": k_reached,
-                "agrees_with_least_sepm": agrees,
+                "agrees_with_least_sepm": True,
                 "energy": f.to_json(arena),
             }, indent=2, sort_keys=True))
         else:
             print("fixpoint at k = %d" % k_reached)
-            print("agrees with least-sepm: %s" % ("yes" if agrees else "no"))
+            print("agrees with least-sepm: yes")
             print("energy (scale %d): %s" % (f.scale, _sepm_text(arena, f)))
         return 0
     table = (ttpg_mod.plain_ttpg if args.variant == "plain"

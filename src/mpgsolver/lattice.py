@@ -207,10 +207,10 @@ def decompose(arena, nu, lattice, max_listed=None):
     Candidates for a measure f are the Cartesian product of f-compatible
     arcs per Player-0 vertex.  For the root's least measure every candidate
     belongs to the block, so its count is the plain product; other blocks
-    filter candidates by comparing the candidate's least feasible potential
-    with f.  Counts are always exact; listed strategies are truncated at
-    ``max_listed`` (None lists everything; a negative cap raises
-    ValueError).
+    keep the candidates whose restricted arena has f as its least SEPM
+    (``delta_membership``).  Counts are always exact; listed strategies
+    are truncated at ``max_listed`` (None lists everything; a negative cap
+    raises ValueError).
     """
     if max_listed is not None and max_listed < 0:
         raise ValueError("max_listed must be >= 0, got %d" % max_listed)

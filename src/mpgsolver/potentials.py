@@ -1,19 +1,19 @@
-"""Strategy-restricted graphs and least feasible potentials.
+"""Strategy-restricted arenas, block membership, reference potentials.
 
 Fixing a positional Player-0 strategy turns the arena into a one-player
-graph.  A feasible potential assigns every vertex an energy value that
-dominates successor (-) weight along EVERY arc; the least one, pi*, is
-computed Bellman-Ford style in the saturated algebra of the energy module:
-|V| relaxation sweeps reach the fixpoint on the conservative part, one
-extra sweep flags vertices still rising, and top propagates backwards to
-everything that can reach them (exactly the vertices from which a negative
-cycle is reachable).
+graph, whose least SEPM is its least feasible potential pi*: the least
+energy map dominating successor (-) weight along EVERY arc.  Block
+membership computes it with ``energy.least_sepm``.  The oracle and the
+checks use ``least_feasible_potential``, an independent Bellman-Ford
+reference: |V| saturated relaxation sweeps, one more to flag vertices
+still rising, and top propagated back to every vertex that reaches them
+(exactly those from which a negative cycle is reachable).
 """
 
 from __future__ import annotations
 
 from .arena import Arena
-from .energy import EnergyFunction, arena_cap, ominus
+from .energy import EnergyFunction, arena_cap, least_sepm, ominus
 from .errors import InternalError, StrategyError
 
 
@@ -75,9 +75,10 @@ def restrict(arena, strategy):
 def least_feasible_potential(graph, cap=None):
     """Least pi with pi(u) >= pi(v) (-) w(u,v) along every arc.
 
+    Reference only (oracle, checks, tests); the solver lifts instead.
     pi(v) is top exactly when a negative cycle is reachable from v.  Finite
     values on conservative parts never exceed (|V|-1)*W, so a value above
-    the cap would indicate a bug and raises InternalError.  The cap
+    the cap would indicate a bug and raises InternalError; the cap
     defaults to the graph's own (|V|-1)*W.
     """
     if cap is None:
@@ -137,10 +138,9 @@ def is_conservative(graph):
 
 
 def delta_membership(arena, f, strategy):
-    """Does the strategy's least feasible potential coincide with f?
+    """Is f the least SEPM of the strategy-restricted arena?
 
-    ``arena`` must already be reweighted; membership in the block of f
-    means pi* of the strategy-restricted graph equals f pointwise.
+    ``arena`` must already be reweighted.  Player 0 has no choice left
+    there, so this least SEPM is the strategy's least feasible potential.
     """
-    pi = least_feasible_potential(restrict(arena, strategy), cap=f.cap)
-    return pi.values == f.values
+    return least_sepm(restrict(arena, strategy), cap=f.cap) == f

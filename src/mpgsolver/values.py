@@ -48,14 +48,21 @@ class ValueAssignment:
 
 
 class ErgodicClass:
-    """One value class: its value, member vertices, induced subgame."""
+    """One value class: value, member vertices, subgame, its least SEPM."""
 
-    __slots__ = ("nu", "vertices", "subgame")
+    __slots__ = ("nu", "vertices", "subgame", "_sepm")
 
     def __init__(self, nu, vertices, subgame):
         self.nu = nu
         self.vertices = tuple(vertices)  # original arena indices, ascending
         self.subgame = subgame           # induced Arena on those vertices
+        self._sepm = None
+
+    def least_sepm(self):
+        """Least SEPM of the subgame reweighted by nu, computed once."""
+        if self._sepm is None:
+            self._sepm = energy.least_sepm(reweight(self.subgame, self.nu))
+        return self._sepm
 
     def __repr__(self):
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))
@@ -133,18 +140,17 @@ def ergodic_partition(arena, vals):
     return classes
 
 
-def synthesize_optimal(arena, vals):
+def synthesize_optimal(arena, classes):
     """One optimal positional strategy via compatible arcs per class.
 
-    Each class subgame is reweighted by its value; the least progress
-    measure there is finite everywhere, and at each Player-0 vertex the
-    lowest-index compatible arc is selected (deterministic tie-break).
+    ``classes`` is the ergodic partition of ``arena``.  At each Player-0
+    vertex the lowest-index arc compatible with its class's least SEPM,
+    finite everywhere, is selected (deterministic tie-break).
     """
-    partition = ergodic_partition(arena, vals)
     choice = [None] * arena.n
-    for cls in partition:
+    for cls in classes:
         sub = reweight(cls.subgame, cls.nu)
-        f = energy.least_sepm(sub)
+        f = cls.least_sepm()
         if not f.all_finite():
             raise InternalError("class subgame for nu=%s is not everywhere "
                                 "winning after reweighting" % (cls.nu,))

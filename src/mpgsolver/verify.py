@@ -36,8 +36,9 @@ class BatteryReport:
         self.failures.append(message)
 
 
-def _check_class(report, sub, nu, max_strategies):
-    """All per-class identities on one nu-valued subgame."""
+def _check_class(report, cls, max_strategies):
+    """All per-class identities on one value class."""
+    sub, nu = cls.subgame, cls.nu
     scaled = reweight(sub, nu)
     cap = energy.arena_cap(scaled)
 
@@ -99,12 +100,13 @@ def _check_class(report, sub, nu, max_strategies):
     if union != opt_set:
         report.fail("block union differs from the optimal strategy set")
 
-    # Regrouping optimal strategies by their potential reproduces the
-    # lattice blocks exactly (uniqueness of the decomposition).
+    # Regrouping optimal strategies by their Bellman-Ford potential
+    # reproduces the lifted blocks exactly (uniqueness of decomposition).
     for block in blocks:
         f = x.sepms[block.sepm_id]
         regroup = {s.choice for s in opt
-                   if potentials.delta_membership(scaled, f, s)}
+                   if potentials.least_feasible_potential(
+                       potentials.restrict(scaled, s), cap=cap) == f}
         if regroup != {s.choice for s in block.strategies}:
             report.fail("potential regrouping disagrees with block %d"
                         % block.sepm_id)
@@ -132,8 +134,7 @@ def _check_class(report, sub, nu, max_strategies):
         report.fail("root measure is not the pointwise minimum")
 
     # Worklist against naive Kleene iteration on the reweighted subgame.
-    if oracle.naive_least_sepm(scaled, cap=cap) != energy.least_sepm(
-            scaled, cap=cap):
+    if oracle.naive_least_sepm(scaled, cap=cap) != cls.least_sepm():
         report.fail("worklist and Kleene least measures differ")
 
 
@@ -177,14 +178,14 @@ def verify_arena(arena, max_strategies=10 ** 6):
     if any(abs(v) > Fraction(arena.W) for v in vals.vals):
         report.fail("a value exceeds the weight bound")
 
-    strategy = values.synthesize_optimal(arena, vals)
+    partition = values.ergodic_partition(arena, vals)
+    strategy = values.synthesize_optimal(arena, partition)
     if not values.is_optimal(arena, vals, strategy):
         report.fail("synthesized strategy is not optimal")
 
-    partition = values.ergodic_partition(arena, vals)
     report.classes = len(partition)
     for cls in partition:
-        _check_class(report, cls.subgame, cls.nu, max_strategies)
+        _check_class(report, cls, max_strategies)
 
     _check_ttpg(report, arena)
     return report

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from mpgsolver import energy, lattice as lattice_mod, potentials
 from mpgsolver import values as values_mod
 from mpgsolver.cli import main
 from mpgsolver.errors import InternalError
@@ -281,3 +282,65 @@ def test_closed_stdout_exits_141_quietly(data_dir, run_cli_process,
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def count_least_sepm(monkeypatch, *inner):
+    """Count least_sepm calls made outside and inside the ``inner`` calls.
+
+    ``inner`` holds (module, name) pairs; those functions are wrapped in
+    place, so calls the CLI makes through the module attribute see them.
+    Returns a dict {"outside": n, "inside": n} that fills as calls happen.
+    """
+    depth = [0]
+    calls = {"outside": 0, "inside": 0}
+
+    def nested(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for module, name in inner:
+        monkeypatch.setattr(module, name, nested(getattr(module, name)))
+    real = energy.least_sepm
+
+    def counting(*args, **kwargs):
+        calls["inside" if depth[0] else "outside"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "least_sepm", counting)
+    monkeypatch.setattr(potentials, "least_sepm", counting)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["gamma_d.mpg", "nonpositional.mpg"])
+def test_solve_computes_each_class_measure_once(capsys, data_dir,
+                                                monkeypatch, name, fmt):
+    # Synthesis computes each class's least SEPM; the printout reuses it.
+    calls = count_least_sepm(monkeypatch, (values_mod, "solve_values"))
+    code, out, _ = run_cli(capsys, "solve", str(data_dir / name),
+                           "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        classes = len(json.loads(out)["classes"])
+    else:
+        classes = sum(line.startswith("class ") for line in out.splitlines())
+    assert classes >= 1
+    assert calls["inside"] > 0
+    assert calls["outside"] == classes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enum_lifts_only_inside_lattice(capsys, data_dir, monkeypatch, fmt):
+    calls = count_least_sepm(monkeypatch, (values_mod, "solve_values"),
+                             (lattice_mod, "enumerate_lattice"),
+                             (lattice_mod, "decompose"))
+    code, _, _ = run_cli(capsys, "enum", str(data_dir / "nonpositional.mpg"),
+                         "--format", fmt)
+    assert code == 0
+    assert calls["inside"] > 0
+    assert calls["outside"] == 0

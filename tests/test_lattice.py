@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from mpgsolver import (Arena, EnergyFunction, NotNuValuedError, decompose,
-                       enumerate_lattice, incompatible_arcs, least_sepm,
-                       reweight)
+from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
+                       compatible_arcs, decompose, enumerate_lattice,
+                       incompatible_arcs, least_feasible_potential,
+                       least_sepm, restrict, reweight)
 from mpgsolver.oracle import (exhaustive_opt, gen_random_arena,
                               reference_energy_lattice)
-from mpgsolver.potentials import delta_membership
+from mpgsolver.potentials import PositionalStrategy, delta_membership
 from mpgsolver.values import ergodic_partition, solve_values
 
 F_STAR = (0, 4, 8, 4, 0, 4, 0)
@@ -154,6 +156,7 @@ def test_decompose_forced_arena():
 
 
 def test_decompose_matches_oracle_on_random_classes():
+    members = outsiders = 0
     for seed in range(25):
         a = gen_random_arena(5, 3, 4, seed)
         vals = solve_values(a)
@@ -161,6 +164,24 @@ def test_decompose_matches_oracle_on_random_classes():
             sub, nu = cls.subgame, cls.nu
             x, _ = enumerate_lattice(sub, nu)
             blocks = decompose(sub, nu, x)
+            # Lifted membership agrees with the Bellman-Ford potential on
+            # every candidate of every block, members or not.
+            scaled = reweight(sub, nu)
+            p0 = scaled.vertices_of(0)
+            for f in x:
+                pools = [[v for _, v in compatible_arcs(scaled, f, u)]
+                         for u in p0]
+                for picks in itertools.product(*pools):
+                    choice = [None] * scaled.n
+                    for u, v in zip(p0, picks):
+                        choice[u] = v
+                    s = PositionalStrategy(choice)
+                    pi = least_feasible_potential(restrict(scaled, s),
+                                                  cap=f.cap)
+                    member = delta_membership(scaled, f, s)
+                    assert member == (pi == f)
+                    members += member
+                    outsiders += not member
             _, opt = exhaustive_opt(sub)
             union = set()
             for bl in blocks:
@@ -171,6 +192,7 @@ def test_decompose_matches_oracle_on_random_classes():
             assert union == {s.choice for s in opt}
             ref = reference_energy_lattice(sub, nu, opt)
             assert {f.values for f in x} == {f.values for f in ref}
+    assert members > 0 and outsiders > 0
 
 
 def test_regrouping_by_potential_reproduces_lattice(gamma_ex):

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from mpgsolver import (Arena, EnergyFunction, StrategyError, arena_cap,
-                       delta_membership, is_conservative, is_sepm,
-                       least_feasible_potential, least_sepm, reweight,
-                       restrict)
+                       delta_membership, ergodic_partition, is_conservative,
+                       is_sepm, least_feasible_potential, least_sepm,
+                       restrict, reweight, solve_values)
 from mpgsolver.energy import ominus
 from mpgsolver.oracle import all_strategies, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
@@ -112,23 +112,36 @@ def test_potential_is_least_and_feasible():
                     break
                 f = nxt
             assert tuple(f) == pi.values
+            # Player 0 keeps one arc, so lifting reaches the same fixpoint
+            assert least_sepm(g, cap=cap) == pi
 
 
 def test_conservative_iff_potential_finite():
+    # Also checks delta_membership's rule: Player 0 has no choice left in a
+    # restricted arena, so lifting it reaches the Bellman-Ford potential,
+    # with either cap, at every class value and off the values.
+    with_top = 0
     for seed in range(60):
         a = gen_random_arena(5, 3, 4, seed)
-        for s in list(all_strategies(a))[:6]:
-            g = restrict(a, s)
-            assert isinstance(g, Arena)
-            pi = least_feasible_potential(g)
-            assert is_conservative(g) == pi.all_finite()
-            # The default cap is the restricted arena's own; a wider cap
-            # changes only the encoding of top, not the finite values.
-            wide = least_feasible_potential(g, cap=arena_cap(a))
-            finite = pi.finite_vertices()
-            assert finite == wide.finite_vertices()
-            assert ([pi.values[u] for u in finite]
-                    == [wide.values[u] for u in finite])
+        nus = {cls.nu for cls in ergodic_partition(a, solve_values(a))}
+        for nu in sorted(nus | {Fraction(0), Fraction(-1, 2)}):
+            scaled = reweight(a, nu)
+            for s in all_strategies(scaled):
+                g = restrict(scaled, s)
+                assert isinstance(g, Arena)
+                pi = least_feasible_potential(g)
+                assert is_conservative(g) == pi.all_finite()
+                # The default cap is the restricted arena's own; a wider
+                # cap changes only the encoding of top, not finite values.
+                wide = least_feasible_potential(g, cap=arena_cap(scaled))
+                finite = pi.finite_vertices()
+                assert finite == wide.finite_vertices()
+                assert ([pi.values[u] for u in finite]
+                        == [wide.values[u] for u in finite])
+                assert least_sepm(g) == pi
+                assert least_sepm(g, cap=arena_cap(scaled)) == wide
+                with_top += not pi.all_finite()
+    assert with_top > 0
 
 
 def test_strategy_potential_is_sepm_of_full_arena(rw_ex):

@@ -78,9 +78,21 @@ def test_partition_covers_vertices():
         assert seen == list(range(a.n))
 
 
+def test_class_least_sepm_is_computed_once(gamma_ex, monkeypatch):
+    (cls,) = ergodic_partition(gamma_ex, solve_values(gamma_ex))
+    calls = []
+    monkeypatch.setattr("mpgsolver.energy.least_sepm",
+                        lambda arena: calls.append(arena) or least_sepm(arena))
+    f = cls.least_sepm()
+    assert f == least_sepm(reweight(gamma_ex, cls.nu))
+    assert cls.least_sepm() is f
+    synthesize_optimal(gamma_ex, [cls])
+    assert len(calls) == 1
+
+
 def test_synthesize_gamma_ex(gamma_ex):
     vals = solve_values(gamma_ex)
-    s = synthesize_optimal(gamma_ex, vals)
+    s = synthesize_optimal(gamma_ex, ergodic_partition(gamma_ex, vals))
     idx = gamma_ex.index
     assert s.choice[idx["B"]] == idx["C"]
     assert s.choice[idx["D"]] == idx["A"]
@@ -91,7 +103,7 @@ def test_synthesize_gamma_ex(gamma_ex):
 
 def test_synthesize_gamma_d(gamma_d):
     vals = solve_values(gamma_d)
-    s = synthesize_optimal(gamma_d, vals)
+    s = synthesize_optimal(gamma_d, ergodic_partition(gamma_d, vals))
     idx = gamma_d.index
     assert s.choice[idx["u3"]] == idx["t"]
     assert s.choice[idx["v3"]] == idx["t"]
@@ -101,7 +113,7 @@ def test_synthesize_gamma_d(gamma_d):
 
 def test_synthesize_forced_arena():
     a = Arena(["p", "q"], [0, 0], [(0, 1, 1), (1, 0, 1)])
-    s = synthesize_optimal(a, solve_values(a))
+    s = synthesize_optimal(a, ergodic_partition(a, solve_values(a)))
     assert s.choice == (1, 0)
 
 
@@ -144,7 +156,8 @@ def test_synthesized_always_optimal_random():
     for seed in range(40):
         a = gen_random_arena(6, 3, 4, seed)
         vals = solve_values(a)
-        assert is_optimal(a, vals, synthesize_optimal(a, vals))
+        strategy = synthesize_optimal(a, ergodic_partition(a, vals))
+        assert is_optimal(a, vals, strategy)
 
 
 def test_value_json(gamma_ex):
