@@ -11,8 +11,10 @@ incompatible with the current subgame's least progress measure:
      it if unseen;
   2. for each Player-0 vertex u with a nonempty incompatible arc set E_u,
      form the child keeping only E_u at u; skip children already
-     visited; compute the child's least measure seeded from f; keep the
-     child only if that measure is finite everywhere;
+     visited, and children whose retained arcs lie, at every Player-0
+     vertex, inside those of a child already pruned; compute the child's
+     least measure seeded from f; keep the child only if that measure is
+     finite everywhere;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
@@ -21,6 +23,10 @@ subgame and each measure is emitted exactly once.  The visited subgames,
 root included, form the basic-subgame lattice; taking least measures is
 the onto, antitone map to the energy lattice, and it can identify
 distinct subgames (degenerate games).
+
+Removing Player-0 arcs can only raise the least measure, so a subgame
+inside a pruned one has a top entry too: skipping it in step 2 changes
+nothing that is emitted, and saves lifting it.
 """
 
 from __future__ import annotations
@@ -118,9 +124,11 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     ``on_subgame(node)`` stream each element exactly once, at discovery.
     Children's measure computations are seeded with the parent's energy
     levels unless ``seed_children`` is false (the unseeded mode exists for
-    differential testing).  Raises NotNuValuedError when the root's least
-    measure is not finite everywhere, the detectable symptom of a caller
-    breaking the nu-valued precondition.
+    differential testing).  A child whose retained arcs lie inside those of
+    a pruned child is pruned without being built or lifted.  Raises
+    NotNuValuedError when the root's least measure is not finite
+    everywhere, the detectable symptom of a caller breaking the nu-valued
+    precondition.
     """
     scaled = reweight(arena, nu)
     cap = energy.arena_cap(scaled)
@@ -133,6 +141,9 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     sepm_ids = {}  # measure values -> sepm id
     nodes = []
     node_ids = {}  # mask key -> node id
+    # Retained arcs of the pruned children, one frozenset per p0 vertex;
+    # an antichain under inclusion, as a contained entry adds nothing.
+    pruned = []
 
     def emit(mask, f, parent_ids):
         key = mask.key()
@@ -169,11 +180,19 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                 if node_id not in parents:
                     parents.append(node_id)
                 continue
+            arcs = [frozenset(child_mask.retained[v]) for v in p0]
+            if any(all(map(frozenset.issubset, arcs, other))
+                   for other in pruned):
+                continue  # inside a pruned subgame: pruned too
             child_f = energy.least_sepm(
                 apply_mask(scaled, child_mask),
                 seed=f if seed_children else None, cap=cap)
             if not child_f.all_finite():
-                continue  # Player 0 no longer wins everywhere: pruned
+                # Player 0 no longer wins everywhere: pruned
+                pruned = [other for other in pruned
+                          if not all(map(frozenset.issubset, other, arcs))]
+                pruned.append(arcs)
+                continue
             pending.append((emit(child_mask, child_f, [node_id]), child_f))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 

@@ -37,15 +37,8 @@ class PositionalStrategy:
         return cls(choice)
 
     def validate(self, arena):
-        for u in range(arena.n):
-            if arena.owner[u] == 0:
-                v = self.choice[u]
-                if v is None or not arena.has_arc(u, v):
-                    raise StrategyError("strategy needs an arc at %s"
-                                        % arena.names[u])
-            elif self.choice[u] is not None:
-                raise StrategyError("strategy assigns a Player-1 vertex %s"
-                                    % arena.names[u])
+        """Raise StrategyError unless this is a strategy of ``arena``."""
+        restrict(arena, self)
 
     def to_json(self, arena):
         return {"choice": {arena.names[u]: arena.names[v]
@@ -64,11 +57,24 @@ class PositionalStrategy:
 
 
 def restrict(arena, strategy):
-    """The arena keeping only the strategy's arcs at Player-0 vertices."""
-    strategy.validate(arena)
-    out = [row if arena.owner[u] == 1
-           else [(v, w) for v, w in row if v == strategy.choice[u]]
-           for u, row in enumerate(arena.out)]
+    """The arena keeping only the strategy's arcs at Player-0 vertices.
+
+    Raises StrategyError when a Player-0 vertex's choice is not one of its
+    arcs, or when a Player-1 vertex has a choice.
+    """
+    out = []
+    for u, row in enumerate(arena.out):
+        v = strategy.choice[u]
+        if arena.owner[u] == 1:
+            if v is not None:
+                raise StrategyError("strategy assigns a Player-1 vertex %s"
+                                    % arena.names[u])
+        else:
+            row = [(d, w) for d, w in row if d == v]
+            if not row:
+                raise StrategyError("strategy needs an arc at %s"
+                                    % arena.names[u])
+        out.append(row)
     return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
 
 

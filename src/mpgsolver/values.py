@@ -50,18 +50,22 @@ class ValueAssignment:
 class ErgodicClass:
     """One value class: value, member vertices, subgame, its least SEPM."""
 
-    __slots__ = ("nu", "vertices", "subgame", "_sepm")
+    __slots__ = ("nu", "vertices", "subgame", "_scaled", "_sepm")
 
     def __init__(self, nu, vertices, subgame):
         self.nu = nu
         self.vertices = tuple(vertices)  # original arena indices, ascending
         self.subgame = subgame           # induced Arena on those vertices
-        self._sepm = None
+        self._scaled = self._sepm = None
 
     def least_sepm(self):
-        """Least SEPM of the subgame reweighted by nu, computed once."""
+        """Least SEPM of the subgame reweighted by nu, computed once.
+
+        The reweighted subgame is kept beside it, in ``_scaled``.
+        """
         if self._sepm is None:
-            self._sepm = energy.least_sepm(reweight(self.subgame, self.nu))
+            self._scaled = reweight(self.subgame, self.nu)
+            self._sepm = energy.least_sepm(self._scaled)
         return self._sepm
 
     def __repr__(self):
@@ -149,8 +153,8 @@ def synthesize_optimal(arena, classes):
     """
     choice = [None] * arena.n
     for cls in classes:
-        sub = reweight(cls.subgame, cls.nu)
         f = cls.least_sepm()
+        sub = cls._scaled
         if not f.all_finite():
             raise InternalError("class subgame for nu=%s is not everywhere "
                                 "winning after reweighting" % (cls.nu,))

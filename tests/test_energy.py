@@ -1,10 +1,13 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from mpgsolver import (Arena, EnergyFunction, SubgameMask, apply_mask,
-                       arena_cap, compatible_arcs, incompatible_arcs, is_sepm,
-                       least_sepm, ominus, reweight, winning_regions)
+                       arena_cap, compatible_arcs, ergodic_partition,
+                       incompatible_arcs, is_sepm, least_sepm, ominus,
+                       reweight, solve_values, winning_regions)
 from mpgsolver.oracle import gen_random_arena, naive_least_sepm
 
 GAMMA_EX_FSTAR = (0, 4, 8, 4, 0, 4, 0)  # A..G on the w+1 reweighting
@@ -150,6 +153,37 @@ def test_monotone_under_p0_arc_removal():
         sub = apply_mask(a, SubgameMask.full(a).with_restriction(u, keep))
         g = least_sepm(sub, cap=f.cap)
         assert all(x <= y for x, y in zip(f.values, g.values))
+
+
+def test_least_sepm_antitone_in_retained_arcs():
+    # The enumeration skips a child inside a pruned one because of this:
+    # for masks M' inside M, least_sepm(M') >= least_sepm(M) with the
+    # same cap, so every top entry of M carries over to M'.
+    newly_top = 0
+    for seed in range(40):
+        a = gen_random_arena(7, 3, 4, seed)
+        rng = random.Random(seed)
+        for cls in ergodic_partition(a, solve_values(a)):
+            scaled = reweight(cls.subgame, cls.nu)
+            cap = arena_cap(scaled)
+            masks = [SubgameMask.full(scaled)]
+            for _ in range(4):
+                retained = masks[-1].retained
+                wide = sorted(u for u, d in retained.items() if len(d) > 1)
+                if not wide:
+                    break
+                u = rng.choice(wide)
+                dsts = retained[u]
+                keep = rng.sample(dsts, rng.randint(1, len(dsts) - 1))
+                masks.append(masks[-1].with_restriction(u, keep))
+            fs = [least_sepm(apply_mask(scaled, m), cap=cap) for m in masks]
+            assert fs[0].all_finite()
+            for big, small in itertools.combinations(fs, 2):
+                assert big.pointwise_le(small)
+                assert all(small.is_top(u) for u in range(scaled.n)
+                           if big.is_top(u))
+                newly_top += big.all_finite() and not small.all_finite()
+    assert newly_top > 0
 
 
 def test_winning_regions_partition():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mpgsolver import lattice
 from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
                        compatible_arcs, decompose, enumerate_lattice,
                        incompatible_arcs, least_feasible_potential,
@@ -100,6 +101,50 @@ def test_seeded_equals_unseeded(gamma_d):
     x2, b2 = enumerate_lattice(gamma_d, Fraction(0), seed_children=False)
     assert [f.values for f in x1] == [f.values for f in x2]
     assert [n.mask.key() for n in b1.nodes] == [n.mask.key() for n in b2.nodes]
+
+
+@pytest.mark.parametrize("seed_children", [True, False])
+def test_enumerate_lifts_no_child_inside_a_pruned_one(gamma_d, monkeypatch,
+                                                      seed_children):
+    # Spy on the children enumerate_lattice builds and lifts: no mask is
+    # lifted twice, and none lies inside a child already found pruned.
+    masks = {}  # id(child arena) -> (mask, child); holding it keeps ids unique
+    lifted = []  # (mask, least SEPM) of each lifted child, in order
+    real_apply, real_lift = lattice.apply_mask, lattice.energy.least_sepm
+
+    def spy_apply(arena, mask):
+        child = real_apply(arena, mask)
+        masks[id(child)] = (mask, child)
+        return child
+
+    def spy_lift(arena, **kwargs):
+        f = real_lift(arena, **kwargs)
+        if id(arena) in masks:
+            lifted.append((masks[id(arena)][0], f))
+        return f
+
+    monkeypatch.setattr(lattice, "apply_mask", spy_apply)
+    monkeypatch.setattr(lattice.energy, "least_sepm", spy_lift)
+    a = gen_random_arena(24, 3, 1, 2)
+    games = [(gamma_d, Fraction(0))] + [
+        (cls.subgame, cls.nu) for cls in ergodic_partition(a, solve_values(a))]
+    pruned_total = 0
+    for arena, nu in games:
+        lifted.clear()
+        x, b = enumerate_lattice(arena, nu, seed_children=seed_children)
+        assert len(lifted) == len(b) - 1 + sum(
+            not f.all_finite() for _, f in lifted)
+        keys = [mask.key() for mask, _ in lifted]
+        assert len(set(keys)) == len(keys)
+        pruned = []
+        for mask, f in lifted:
+            for other in pruned:
+                assert not all(set(mask.retained[u]) <= set(other.retained[u])
+                               for u in mask.retained)
+            if not f.all_finite():
+                pruned.append(mask)
+        pruned_total += len(pruned)
+    assert pruned_total > 0
 
 
 def test_phi_onto_and_antitone(gamma_d):

@@ -54,6 +54,26 @@ def test_restrict_rejects_missing_arc(rw_ex):
         restrict(rw_ex, bogus)
 
 
+def test_restrict_rejects_each_bad_choice(rw_ex):
+    idx = rw_ex.index
+    good = ex_strategy(rw_ex, "F").choice
+    no_arc = list(good)
+    no_arc[idx["B"]] = idx["A"]
+    unset = list(good)
+    unset[idx["E"]] = None
+    p1_choice = list(good)
+    p1_choice[idx["A"]] = idx["B"]
+    cases = [(no_arc, "strategy needs an arc at B"),
+             (unset, "strategy needs an arc at E"),
+             (p1_choice, "strategy assigns a Player-1 vertex A")]
+    for choice, message in cases:
+        strategy = PositionalStrategy(choice)
+        for check in (restrict, lambda a, s: s.validate(a)):
+            with pytest.raises(StrategyError, match=message):
+                check(rw_ex, strategy)
+    ex_strategy(rw_ex, "F").validate(rw_ex)
+
+
 def test_least_feasible_potential_f1_f2(rw_ex):
     pi1 = least_feasible_potential(restrict(rw_ex, ex_strategy(rw_ex, "F")))
     assert pi1.values == F1

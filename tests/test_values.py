@@ -80,14 +80,17 @@ def test_partition_covers_vertices():
 
 def test_class_least_sepm_is_computed_once(gamma_ex, monkeypatch):
     (cls,) = ergodic_partition(gamma_ex, solve_values(gamma_ex))
-    calls = []
+    calls, reweights = [], []
     monkeypatch.setattr("mpgsolver.energy.least_sepm",
                         lambda arena: calls.append(arena) or least_sepm(arena))
+    monkeypatch.setattr("mpgsolver.values.reweight",
+                        lambda a, nu: reweights.append(a) or reweight(a, nu))
     f = cls.least_sepm()
     assert f == least_sepm(reweight(gamma_ex, cls.nu))
     assert cls.least_sepm() is f
     synthesize_optimal(gamma_ex, [cls])
     assert len(calls) == 1
+    assert reweights == [cls.subgame]
 
 
 def test_synthesize_gamma_ex(gamma_ex):
