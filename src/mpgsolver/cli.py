@@ -209,14 +209,16 @@ def _verify_one(tag, arena, max_strategies):
 
 
 def cmd_verify(args):
-    jobs = []
-    if args.file:
-        jobs.append((args.file, _load(args.file)))
+    jobs = [(args.file, _load(args.file))] if args.file else []
     if args.random:
         n, max_out, w_max, seed, count = args.random
-        for i in range(count):
-            jobs.append(("random-%d" % (seed + i),
-                         oracle.gen_random_arena(n, max_out, w_max, seed + i)))
+        if n < 1 or max_out < 1 or w_max < 0 or count < 0:
+            print("error: --random needs N >= 1, MAX_OUT >= 1, W_MAX >= 0 "
+                  "and COUNT >= 0", file=sys.stderr)
+            return 2
+        jobs += [("random-%d" % (seed + i),
+                  oracle.gen_random_arena(n, max_out, w_max, seed + i))
+                 for i in range(count)]
     if not jobs:
         print("error: give an arena file or --random", file=sys.stderr)
         return 2
@@ -248,11 +250,11 @@ def cmd_verify(args):
     return 3 if failed else 0
 
 
-def _listing_cap(text):
-    cap = int(text)
-    if cap < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % cap)
-    return cap
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
 
 
 def build_parser():
@@ -270,15 +272,15 @@ def build_parser():
     p_enum = sub.add_parser("enum", help="enumerate extremal progress "
                                          "measures and basic subgames")
     p_enum.add_argument("file")
-    p_enum.add_argument("--list-strategies", type=_listing_cap, default=16,
-                        metavar="N", help="strategies listed per block "
-                                          "(counts stay exact)")
+    p_enum.add_argument("--list-strategies", type=_nonnegative_int,
+                        default=16, metavar="N",
+                        help="strategies listed per block (counts stay exact)")
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
     p_enum.set_defaults(func=cmd_enum)
 
     p_ttpg = sub.add_parser("ttpg", help="truncated total-payoff tables")
     p_ttpg.add_argument("file")
-    p_ttpg.add_argument("--k", type=int, default=10)
+    p_ttpg.add_argument("--k", type=_nonnegative_int, default=10)
     p_ttpg.add_argument("--variant", choices=("plain", "min"),
                         default="plain")
     p_ttpg.add_argument("--fixpoint", action="store_true",
@@ -294,7 +296,8 @@ def build_parser():
     p_verify.add_argument("file", nargs="?")
     p_verify.add_argument("--random", nargs=5, type=int,
                           metavar=("N", "MAX_OUT", "W_MAX", "SEED", "COUNT"))
-    p_verify.add_argument("--max-strategies", type=int, default=10 ** 6)
+    p_verify.add_argument("--max-strategies", type=_nonnegative_int,
+                          default=10 ** 6)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -223,13 +223,14 @@ def _strategy(n, p0, picks):
 def decompose(arena, nu, lattice, max_listed=None):
     """Split the optimal strategies into one block per extremal measure.
 
-    Candidates for a measure f are the Cartesian product of f-compatible
-    arcs per Player-0 vertex.  For the root's least measure every candidate
-    belongs to the block, so its count is the plain product; other blocks
-    keep the candidates whose restricted arena has f as its least SEPM
-    (``delta_membership``).  Counts are always exact; listed strategies
-    are truncated at ``max_listed`` (None lists everything; a negative cap
-    raises ValueError).
+    Candidates for a measure f are the Cartesian product of f-tight arcs
+    per Player-0 vertex u, those with f(v) (-) w(u, v) = f(u): a member's
+    least SEPM meets its one arc at u with equality.  For the root's least
+    measure every candidate is a member, so its count is the plain
+    product; other blocks keep the candidates whose restricted arena has f
+    as its least SEPM (``delta_membership``).  Counts are always exact;
+    listed strategies are truncated at ``max_listed`` (None lists
+    everything; a negative cap raises ValueError).
     """
     if max_listed is not None and max_listed < 0:
         raise ValueError("max_listed must be >= 0, got %d" % max_listed)
@@ -237,20 +238,15 @@ def decompose(arena, nu, lattice, max_listed=None):
     p0 = scaled.vertices_of(0)
     blocks = []
     for sepm_id, f in enumerate(lattice.sepms):
-        pools = [[v for _, v in energy.compatible_arcs(scaled, f, u)]
+        pools = [[v for v, w in scaled.out[u]
+                  if energy.ominus(f.values[v], w, f.cap) == f.values[u]]
                  for u in p0]
-        candidates = (_strategy(scaled.n, p0, picks)
-                      for picks in itertools.product(*pools))
-        if sepm_id == 0:
-            count = math.prod(len(pool) for pool in pools)
-            listed = list(itertools.islice(candidates, max_listed))
-        else:
-            count = 0
-            listed = []
-            for strategy in candidates:
-                if delta_membership(scaled, f, strategy):
-                    count += 1
-                    if max_listed is None or len(listed) < max_listed:
-                        listed.append(strategy)
+        members = (_strategy(scaled.n, p0, picks)
+                   for picks in itertools.product(*pools))
+        if sepm_id:
+            members = (s for s in members if delta_membership(scaled, f, s))
+        listed = list(itertools.islice(members, max_listed))
+        count = (len(listed) + sum(1 for _ in members) if sepm_id
+                 else math.prod(len(pool) for pool in pools))
         blocks.append(DeltaBlock(sepm_id, count, listed))
     return blocks

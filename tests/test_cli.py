@@ -97,13 +97,29 @@ def test_enum_strategy_listing_cap(capsys, data_dir):
     assert len(block["strategies"]) == 1
 
 
-def test_enum_rejects_negative_listing_cap(capsys, data_dir):
-    with pytest.raises(SystemExit) as exc:
-        main(["enum", str(data_dir / "gamma_ex.mpg"),
-              "--list-strategies", "-1"])
-    assert exc.value.code == 2
-    _, err = capsys.readouterr()
-    assert "--list-strategies" in err and "must be >= 0" in err
+@pytest.mark.parametrize("argv, option", [
+    (["enum", "ARENA", "--list-strategies", "-1"], "--list-strategies"),
+    (["ttpg", "ARENA", "--k", "-1"], "--k"),
+    (["verify", "ARENA", "--max-strategies", "-1"], "--max-strategies"),
+    (["verify", "--random", "0", "3", "4", "0", "1"], "--random"),
+    (["verify", "--random", "3", "0", "4", "0", "1"], "--random"),
+    (["verify", "--random", "3", "3", "-1", "0", "1"], "--random"),
+    (["verify", "ARENA", "--random", "3", "3", "4", "0", "-1"], "--random"),
+], ids=["enum-list-strategies", "ttpg-k", "verify-max-strategies",
+        "verify-random-n", "verify-random-max-out", "verify-random-w-max",
+        "verify-random-count"])
+def test_bad_option_values_exit_2(capsys, data_dir, argv, option):
+    arena = str(data_dir / "gamma_ex.mpg")
+    try:
+        code = main([arena if arg == "ARENA" else arg for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert option in errors[0] and ">= 0" in errors[0]
 
 
 def test_enum_byte_identical_across_runs(data_dir, run_cli_process):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from mpgsolver import lattice
 from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
                        compatible_arcs, decompose, enumerate_lattice,
                        incompatible_arcs, least_feasible_potential,
-                       least_sepm, restrict, reweight)
+                       least_sepm, ominus, restrict, reweight)
 from mpgsolver.oracle import (exhaustive_opt, gen_random_arena,
                               reference_energy_lattice)
 from mpgsolver.potentials import PositionalStrategy, delta_membership
@@ -16,6 +17,18 @@ from mpgsolver.values import ergodic_partition, solve_values
 F_STAR = (0, 4, 8, 4, 0, 4, 0)
 F_1 = (0, 4, 8, 4, 3, 4, 0)
 F_2 = (0, 4, 8, 4, 7, 4, 0)
+
+
+def _strategy(n, p0, picks):
+    choice = [None] * n
+    for u, v in zip(p0, picks):
+        choice[u] = v
+    return PositionalStrategy(choice)
+
+
+def _tight_arcs(scaled, f, u):
+    return [(u, v) for v, w in scaled.out[u]
+            if ominus(f.values[v], w, f.cap) == f.values[u]]
 
 
 def test_incompatible_arcs(gamma_ex, gamma_d):
@@ -210,21 +223,22 @@ def test_decompose_matches_oracle_on_random_classes():
             x, _ = enumerate_lattice(sub, nu)
             blocks = decompose(sub, nu, x)
             # Lifted membership agrees with the Bellman-Ford potential on
-            # every candidate of every block, members or not.
+            # every compatible candidate of every block, members or not,
+            # and members pick only tight arcs.
             scaled = reweight(sub, nu)
             p0 = scaled.vertices_of(0)
             for f in x:
                 pools = [[v for _, v in compatible_arcs(scaled, f, u)]
                          for u in p0]
+                tight = {arc for u in p0 for arc in _tight_arcs(scaled, f, u)}
                 for picks in itertools.product(*pools):
-                    choice = [None] * scaled.n
-                    for u, v in zip(p0, picks):
-                        choice[u] = v
-                    s = PositionalStrategy(choice)
+                    s = _strategy(scaled.n, p0, picks)
                     pi = least_feasible_potential(restrict(scaled, s),
                                                   cap=f.cap)
                     member = delta_membership(scaled, f, s)
                     assert member == (pi == f)
+                    if member:
+                        assert set(zip(p0, picks)) <= tight
                     members += member
                     outsiders += not member
             _, opt = exhaustive_opt(sub)
@@ -238,6 +252,66 @@ def test_decompose_matches_oracle_on_random_classes():
             ref = reference_energy_lattice(sub, nu, opt)
             assert {f.values for f in x} == {f.values for f in ref}
     assert members > 0 and outsiders > 0
+
+
+def _compatible_walk(arena, nu, x, max_listed):
+    """Reference blocks as (sepm_id, count, listed choices): the product of
+    f-compatible arcs, filtered by lifted membership except at the root."""
+    scaled = reweight(arena, nu)
+    p0 = scaled.vertices_of(0)
+    blocks = []
+    for sepm_id, f in enumerate(x.sepms):
+        pools = [[v for _, v in compatible_arcs(scaled, f, u)] for u in p0]
+        candidates = (_strategy(scaled.n, p0, picks)
+                      for picks in itertools.product(*pools))
+        if sepm_id == 0:
+            count = math.prod(len(pool) for pool in pools)
+            listed = list(itertools.islice(candidates, max_listed))
+        else:
+            found = [s for s in candidates if delta_membership(scaled, f, s)]
+            count, listed = len(found), found[:max_listed]
+        blocks.append((sepm_id, count, [s.choice for s in listed]))
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def random_classes():
+    games = []
+    for args in [(24, 3, 1, 2), (16, 3, 2, 5), (20, 3, 2, 9), (24, 3, 1, 19),
+                 (18, 4, 1, 25)]:
+        a = gen_random_arena(*args)
+        games += [(cls.subgame, cls.nu)
+                  for cls in ergodic_partition(a, solve_values(a))]
+    return games
+
+
+@pytest.mark.parametrize("max_listed", [16, None])
+def test_decompose_matches_compatible_walk(gamma_d, random_classes,
+                                           monkeypatch, max_listed):
+    games = [(gamma_d, Fraction(0))] + random_classes
+    calls = []
+
+    def spy(arena, f, strategy):
+        calls.append(strategy)
+        return delta_membership(arena, f, strategy)
+
+    monkeypatch.setattr(lattice, "delta_membership", spy)
+    walked = members = 0
+    for arena, nu in games:
+        x, _ = enumerate_lattice(arena, nu)
+        calls.clear()
+        blocks = decompose(arena, nu, x, max_listed=max_listed)
+        assert [(bl.sepm_id, bl.count, [s.choice for s in bl.strategies])
+                for bl in blocks] == _compatible_walk(arena, nu, x, max_listed)
+        scaled = reweight(arena, nu)
+        p0 = scaled.vertices_of(0)
+        # One lift per candidate of each non-root block, tight arcs only.
+        assert len(calls) == sum(
+            math.prod(len(_tight_arcs(scaled, f, u)) for u in p0)
+            for f in x.sepms[1:])
+        walked += len(calls)
+        members += sum(bl.count for bl in blocks[1:])
+    assert walked > members > 0
 
 
 def test_regrouping_by_potential_reproduces_lattice(gamma_ex):
