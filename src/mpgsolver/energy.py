@@ -3,8 +3,10 @@
 Energy values live in {0, ..., K} plus a top element.  Internally a value
 is a plain int, with K+1 standing for top; this keeps the lifting loop in
 cheap integer comparisons while staying exact.  K is the arena's cap
-(|V|-1)*W: no finite least progress-measure entry can exceed it, so any
-lift past K saturates.
+(|V|-1)*W: no finite least progress-measure entry can exceed it.  The
+lifting loop saturates earlier, at the arena's credit bound B (the sum of
+the |V|-1 largest drops, see ``least_sepm``): any lift past min(K, B) goes
+straight to top, while K stays the cap that values are reported against.
 
 A small energy-progress measure (SEPM) f must, at every Player-0 vertex,
 dominate f(v) (-) w(u,v) for SOME successor v, and at every Player-1
@@ -123,6 +125,15 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
     queued and has ``f[p] < target (-) w(p, u)`` is enqueued; this covers
     u's own self-loop too.  A popped vertex is lifted only if it is still
     violated, since a Player-0 vertex may be satisfied by another arc.
+
+    A lift whose target exceeds ``min(cap, B)`` goes straight to top,
+    where B is the sum of the |V|-1 largest drops max(0, -min weight out
+    of x).  This is exact: if Player 0 wins from x, a positional winning
+    strategy s makes every cycle of G_s reachable from x non-negative, so
+    the least credit at x is at most minus the weight of a simple path,
+    which is at most B.  Lifting iterates stay below the least SEPM, so an
+    iterate above B marks a top vertex.
+
     ``lift_counter``, if given, is a one-element list accumulating the
     number of lift operations (diagnostic only).
     """
@@ -135,6 +146,8 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
         if seed.cap != cap:
             raise InternalError("seed cap %d != cap %d" % (seed.cap, cap))
         f = list(seed.values)
+    drops = [max(0, -min(w for _, w in row)) for row in arena.out]
+    limit = min(cap, sum(drops) - min(drops))  # B: all drops but the least
     queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]
     queue = deque(u for u in range(n) if queued[u])
 
@@ -145,6 +158,8 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
         target = _lift_target(arena, f, cap, u)
         if target <= f[u]:
             continue
+        if target > limit:
+            target = cap + 1
         f[u] = target
         lifts += 1
         for p, w in arena.ins[u]:

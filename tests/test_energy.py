@@ -131,6 +131,53 @@ def test_least_sepm_self_loop_climb():
     assert fd.is_top(0) and fd.values[1] == 0
 
 
+def test_lift_past_credit_bound_goes_to_top():
+    # a (Player 1) pumps its -1 self-loop; the +1000 arcs raise the cap
+    # K to 1000 but the credit bound B (sum of the |V|-1 largest drops)
+    # is 1, so a's second lift, to 2, goes straight to top
+    a = Arena(["a", "b"], [1, 0], [(0, 0, -1), (0, 1, 1000), (1, 1, 1000)])
+    counter = [0]
+    f = least_sepm(a, lift_counter=counter)
+    assert f.cap == 1000
+    assert f.values == (f.cap + 1, 0)
+    assert counter[0] <= 2
+
+
+def test_value_at_credit_bound_stays_finite():
+    # the gadget u -> u (-1), u -> x (-W), x -> x (0) has least SEPM
+    # u = W, which equals its credit bound B: a lift to exactly B is finite
+    w = 7
+    a = Arena(["u", "x"], [0, 0], [(0, 0, -1), (0, 1, -w), (1, 1, 0)])
+    f = least_sepm(a)
+    assert f.values == (w, 0)
+    assert f.all_finite()
+
+
+def test_credit_bound_matches_kleene_with_tops():
+    # off-value reweightings leave many vertices top; the early
+    # saturation must agree with the plain Kleene iteration up to K
+    tops = finite = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        base = gen_random_arena(2 + seed % 5, 3, 1 + seed % 4, seed)
+        a = reweight(base, Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        f = least_sepm(a)
+        assert f == naive_least_sepm(a)
+        tops += not f.all_finite()
+        finite += f.all_finite()
+        # a seeded one-vertex child, as the lattice makes it
+        for u in a.vertices_of(0):
+            cut = [v for _, v in incompatible_arcs(a, f, u)]
+            if cut:
+                child = apply_mask(
+                    a, SubgameMask.full(a).with_restriction(u, cut))
+                g = least_sepm(child, seed=f, cap=f.cap)
+                assert g == naive_least_sepm(child, cap=f.cap)
+                tops += not g.all_finite()
+                break
+    assert tops > 100 and finite > 50
+
+
 def test_seeded_restart_equals_cold_start(gamma_d):
     idx = gamma_d.index
     parent = least_sepm(gamma_d)
