@@ -15,11 +15,12 @@ serialization writes one header comment, all ``v`` lines in declaration
 order, then ``e`` lines sorted by (src, dst) declaration index;
 parse/serialize round-trips bit-exactly.
 
-This module builds every arena.  Input is checked where it enters:
-``Arena(...)`` and ``parse_arena`` check ids, owners, arcs and dead ends.
-Arenas derived from a checked one (reweightings, masked subgames,
-strategy restrictions, value-class subgames) are built from its sorted
-rows by ``Arena._from_rows`` and are not checked again.
+This module builds every arena.  Input is checked once, where it enters,
+in the pass that builds from it: ``parse_arena`` and ``Arena(...)`` check
+ids, owners, arcs and dead ends, and ``apply_mask`` checks a mask as it
+filters the rows (``potentials.restrict`` checks a strategy likewise).
+Derived arenas (reweightings, masked subgames, strategy restrictions,
+value-class subgames) are built from checked rows by ``Arena._from_rows``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class Arena:
     ``scale`` records the denominator accumulated by reweightings, so that
     energy levels computed on this arena are expressed in scaled units.
 
-    The constructor checks its input.  Derived arenas come from
-    ``_from_rows``, which trusts rows taken from a checked arena.
+    The constructor checks its input.  Parsed and derived arenas come from
+    ``_from_rows``, which trusts rows that were already checked.
     """
 
     __slots__ = ("names", "owner", "out", "scale", "index", "ins", "W")
@@ -123,9 +124,6 @@ class Arena:
                 return w
         raise KeyError("no arc %s -> %s" % (self.names[src], self.names[dst]))
 
-    def has_arc(self, src, dst):
-        return any(v == dst for v, _ in self.out[src])
-
     def __eq__(self, other):
         if not isinstance(other, Arena):
             return NotImplemented
@@ -167,20 +165,6 @@ class SubgameMask:
         """Canonical hashable form, the store index of the subgame."""
         return tuple(sorted((u, tuple(d)) for u, d in self.retained.items()))
 
-    def validate(self, arena):
-        p0 = set(arena.vertices_of(0))
-        if set(self.retained) != p0:
-            raise MaskError("mask must cover exactly the Player-0 vertices")
-        for u, dsts in self.retained.items():
-            if not dsts:
-                raise MaskError(
-                    "mask empties out-arcs of %s" % arena.names[u])
-            have = {v for v, _ in arena.out[u]}
-            for v in dsts:
-                if v not in have:
-                    raise MaskError("mask keeps missing arc %s -> %s"
-                                    % (arena.names[u], arena.names[v]))
-
     def __eq__(self, other):
         if not isinstance(other, SubgameMask):
             return NotImplemented
@@ -201,11 +185,9 @@ def parse_arena(text):
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    names, owners = [], []
+    names, owners, vertex_lines = [], [], []
     index = {}
-    arcs = []
-    arc_lines = {}
-    vertex_line = {}
+    rows = []  # per vertex, destination -> weight
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -226,9 +208,10 @@ def parse_arena(text):
                 raise ArenaFormatError("owner must be 0 or 1", lineno,
                                        raw.find(owner, raw.find(name)) + 1)
             index[name] = len(names)
-            vertex_line[name] = lineno
             names.append(name)
             owners.append(int(owner))
+            vertex_lines.append(lineno)
+            rows.append({})
         elif kind == "e":
             if len(fields) != 4:
                 raise ArenaFormatError("expected 'e <src> <dst> <int>'",
@@ -241,23 +224,21 @@ def parse_arena(text):
             if not _INT_RE.match(weight):
                 raise ArenaFormatError("weight %r is not an integer" % weight,
                                        lineno, raw.rfind(weight) + 1)
-            w = int(weight)
-            pair = (index[src], index[dst])
-            if pair in arc_lines:
+            row = rows[index[src]]
+            if index[dst] in row:
                 raise ArenaFormatError("duplicate arc %s -> %s" % (src, dst),
                                        lineno, 1)
-            arc_lines[pair] = lineno
-            arcs.append((pair[0], pair[1], w))
+            row[index[dst]] = int(weight)
         else:
             raise ArenaFormatError("unknown statement %r" % kind, lineno, 1)
     if not names:
         raise ArenaFormatError("arena declares no vertices")
-    has_out = {src for src, _, _ in arcs}
-    for name in names:
-        if index[name] not in has_out:
+    for name, row, lineno in zip(names, rows, vertex_lines):
+        if not row:
             raise ArenaFormatError("vertex %r has no outgoing arc" % name,
-                                   vertex_line[name], 1)
-    return Arena(names, owners, arcs)
+                                   lineno, 1)
+    return Arena._from_rows(names, owners,
+                            [sorted(row.items()) for row in rows], 1)
 
 
 def serialize_arena(arena):
@@ -284,13 +265,27 @@ def reweight(arena, nu):
 
 
 def apply_mask(arena, mask):
-    """Subgame with Player-0 out-arcs restricted to the mask's choice."""
-    mask.validate(arena)
+    """Subgame with Player-0 out-arcs restricted to the mask's choice.
+
+    Raises MaskError unless the mask keeps, at exactly the Player-0
+    vertices, a nonempty set of each one's own destinations.
+    """
+    if mask.retained.keys() != set(arena.vertices_of(0)):
+        raise MaskError("mask must cover exactly the Player-0 vertices")
     out = []
     for u, row in enumerate(arena.out):
         if arena.owner[u] == 0:
-            keep = set(mask.retained[u])
+            dsts = mask.retained[u]
+            if not dsts:
+                raise MaskError("mask empties out-arcs of %s" % arena.names[u])
+            keep = set(dsts)
             row = [(v, w) for v, w in row if v in keep]
+            if len(row) != len(keep):
+                have = {v for v, _ in row}
+                v = next(v for v in dsts if v not in have)
+                raise MaskError("mask keeps missing arc %s -> %s" % (
+                    arena.names[u],
+                    arena.names[v] if v in range(arena.n) else repr(v)))
         out.append(row)
     return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
 

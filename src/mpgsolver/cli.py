@@ -88,7 +88,7 @@ def cmd_solve(args):
     return 0
 
 
-def _enum_class(arena, cls, index, list_cap, fmt, out):
+def _enum_class(cls, index, list_cap, fmt, out):
     sub, nu = cls.subgame, cls.nu
     if fmt == "text":
         out.write("class %d: nu = %s\n" % (index, _frac_text(nu)))
@@ -153,14 +153,12 @@ def cmd_enum(args):
     partition = values_mod.ergodic_partition(arena, vals)
     if args.format == "json":
         payload = {"classes": [
-            _enum_class(arena, cls, i, args.list_strategies, "json",
-                        sys.stdout)
+            _enum_class(cls, i, args.list_strategies, "json", sys.stdout)
             for i, cls in enumerate(partition)]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for i, cls in enumerate(partition):
-            _enum_class(arena, cls, i, args.list_strategies, "text",
-                        sys.stdout)
+            _enum_class(cls, i, args.list_strategies, "text", sys.stdout)
     return 0
 
 
@@ -200,14 +198,6 @@ def cmd_ttpg(args):
     return 0
 
 
-def _verify_one(tag, arena, max_strategies):
-    try:
-        report = verify_mod.verify_arena(arena, max_strategies=max_strategies)
-    except OracleBoundError as exc:
-        return tag, arena, exc
-    return tag, arena, report
-
-
 def cmd_verify(args):
     jobs = [(args.file, _load(args.file))] if args.file else []
     if args.random:
@@ -222,14 +212,14 @@ def cmd_verify(args):
     if not jobs:
         print("error: give an arena file or --random", file=sys.stderr)
         return 2
-    results = [_verify_one(tag, arena, args.max_strategies)
-               for tag, arena in jobs]
     failed = 0
     skipped = 0
-    for tag, arena, report in results:
-        if isinstance(report, OracleBoundError):
+    for tag, arena in jobs:
+        try:
+            report = verify_mod.verify_arena(arena, args.max_strategies)
+        except OracleBoundError as exc:
             skipped += 1
-            print("SKIP %s: %s" % (tag, report))
+            print("SKIP %s: %s" % (tag, exc))
             continue
         note = " (degenerate)" if report.degenerate else ""
         if report.ok:
@@ -246,7 +236,7 @@ def cmd_verify(args):
             print("  %s" % failure)
     tail = ", %d skipped (oracle bound)" % skipped if skipped else ""
     print("verified %d arena(s), %d failure(s)%s"
-          % (len(results) - skipped, failed, tail))
+          % (len(jobs) - skipped, failed, tail))
     return 3 if failed else 0
 
 

@@ -21,11 +21,11 @@ class ArenaFormatError(MpgError):
 
 
 class MaskError(MpgError):
-    """A subgame mask is invalid for its arena (empty or foreign arc set)."""
+    """A subgame mask is invalid for its arena (coverage or arc sets)."""
 
 
 class StrategyError(MpgError):
-    """A positional strategy references an arc the arena does not have."""
+    """A positional strategy does not fit its arena (length or arcs)."""
 
 
 class NotNuValuedError(MpgError):

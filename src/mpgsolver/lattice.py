@@ -145,8 +145,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     # an antichain under inclusion, as a contained entry adds nothing.
     pruned = []
 
-    def emit(mask, f, parent_ids):
-        key = mask.key()
+    def emit(mask, key, f, parent_ids):
         if key in node_ids:
             raise InternalError("subgame inserted twice")
         sepm_id = sepm_ids.get(f.values)
@@ -164,7 +163,8 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
 
     # Explicit stack mirroring the recursion: children are pushed in
     # declaration order and expanded last-first.
-    pending = [(emit(SubgameMask.full(scaled), root_f, []), root_f)]
+    root = SubgameMask.full(scaled)
+    pending = [(emit(root, root.key(), root_f, []), root_f)]
     while pending:
         node_id, f = pending.pop()
         mask = nodes[node_id].mask
@@ -174,7 +174,8 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
             if not cut:
                 continue
             child_mask = mask.with_restriction(u, cut)
-            known = node_ids.get(child_mask.key())
+            key = child_mask.key()
+            known = node_ids.get(key)
             if known is not None:
                 parents = nodes[known].parent_ids
                 if node_id not in parents:
@@ -193,7 +194,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                           if not all(map(frozenset.issubset, other, arcs))]
                 pruned.append(arcs)
                 continue
-            pending.append((emit(child_mask, child_f, [node_id]), child_f))
+            pending.append((emit(child_mask, key, child_f, [node_id]), child_f))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 
 

@@ -36,10 +36,6 @@ class PositionalStrategy:
             choice[u] = v
         return cls(choice)
 
-    def validate(self, arena):
-        """Raise StrategyError unless this is a strategy of ``arena``."""
-        restrict(arena, self)
-
     def to_json(self, arena):
         return {"choice": {arena.names[u]: arena.names[v]
                            for u, v in enumerate(self.choice) if v is not None}}
@@ -59,9 +55,12 @@ class PositionalStrategy:
 def restrict(arena, strategy):
     """The arena keeping only the strategy's arcs at Player-0 vertices.
 
-    Raises StrategyError when a Player-0 vertex's choice is not one of its
-    arcs, or when a Player-1 vertex has a choice.
+    Raises StrategyError unless the strategy has one entry per vertex, one
+    of its own arcs at each Player-0 vertex and None at each Player-1 one.
     """
+    if len(strategy.choice) != arena.n:
+        raise StrategyError("strategy has %d entries for %d vertices"
+                            % (len(strategy.choice), arena.n))
     out = []
     for u, row in enumerate(arena.out):
         v = strategy.choice[u]

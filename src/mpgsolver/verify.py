@@ -69,8 +69,10 @@ def _check_class(report, cls, max_strategies):
         report.fail("duplicate basic subgame visited")
 
     # The defining description of the energy lattice.
-    reference = oracle.reference_energy_lattice(sub, nu, opt)
-    if {f.values for f in x} != {f.values for f in reference}:
+    potential = {s.choice: potentials.least_feasible_potential(
+                     potentials.restrict(scaled, s), cap=cap).values
+                 for s in opt}
+    if {f.values for f in x} != set(potential.values()):
         report.fail("enumerated lattice differs from optimal-strategy "
                     "potentials")
 
@@ -104,9 +106,7 @@ def _check_class(report, cls, max_strategies):
     # reproduces the lifted blocks exactly (uniqueness of decomposition).
     for block in blocks:
         f = x.sepms[block.sepm_id]
-        regroup = {s.choice for s in opt
-                   if potentials.least_feasible_potential(
-                       potentials.restrict(scaled, s), cap=cap) == f}
+        regroup = {choice for choice, pi in potential.items() if pi == f.values}
         if regroup != {s.choice for s in block.strategies}:
             report.fail("potential regrouping disagrees with block %d"
                         % block.sepm_id)

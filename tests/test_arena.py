@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,14 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ArenaFormatError) as err:
         parse_arena(text)
     assert fragment in str(err.value)
+
+
+def test_parse_sorts_rows_whatever_the_arc_order(gamma_ex):
+    lines = serialize_arena(gamma_ex).splitlines()
+    arcs = [line for line in lines if line.startswith("e ")]
+    text = "\n".join([line for line in lines if line not in arcs]
+                     + arcs[::-1])
+    assert parse_arena(text) == gamma_ex
 
 
 def test_parse_error_reports_position():
@@ -102,8 +111,8 @@ def test_apply_mask_gamma_d_drops_one_arc(gamma_d):
     sub = gamma_d  # noqa: F841  (readability)
     restricted = apply_mask(gamma_d, mask)
     assert restricted.arc_count() == 13
-    assert not restricted.has_arc(t, v4)
-    assert restricted.has_arc(t, u4)
+    assert restricted.out[t] == ((u4, -10),)
+    assert gamma_d.out[t] == ((u4, -10), (v4, 0))
     assert restricted.names == gamma_d.names
 
 
@@ -111,18 +120,45 @@ def test_apply_full_mask_is_identity(gamma_d):
     assert apply_mask(gamma_d, SubgameMask.full(gamma_d)) == gamma_d
 
 
-def test_apply_mask_rejects_emptied_vertex(gamma_d):
-    t = gamma_d.index["t"]
-    mask = SubgameMask.full(gamma_d).with_restriction(t, [])
-    with pytest.raises(MaskError):
-        apply_mask(gamma_d, mask)
+COVER = "mask must cover exactly the Player-0 vertices"
 
 
-def test_apply_mask_rejects_foreign_arc(gamma_d):
-    t = gamma_d.index["t"]
-    mask = SubgameMask.full(gamma_d).with_restriction(t, [gamma_d.index["u1"]])
-    with pytest.raises(MaskError):
-        apply_mask(gamma_d, mask)
+# Each mask has one defect against the full mask of gamma_d: the changed
+# Player-0 vertex keeps the given destinations, or None drops it.  Names
+# are gamma_d's vertices; integers are raw indices.
+@pytest.mark.parametrize("changes,message", [
+    ({"t": None}, COVER),
+    ({"u2": ("u1",)}, COVER),
+    ({99: ("u4",)}, COVER),
+    ({-1: ("u4",)}, COVER),
+    ({"t": ()}, "mask empties out-arcs of t"),
+    ({"t": ("u4", "u1")}, "mask keeps missing arc t -> u1"),
+    ({"t": ("u1",)}, "mask keeps missing arc t -> u1"),
+    ({"t": ("u4", 99)}, "mask keeps missing arc t -> 99"),
+    ({"t": (-1,)}, "mask keeps missing arc t -> -1"),
+], ids=["missing-player-0", "player-1-key", "key-99", "key-minus-1",
+        "empties", "foreign-arc", "foreign-arc-only", "destination-99",
+        "destination-minus-1"])
+def test_apply_mask_rejects_malformed_mask(gamma_d, changes, message):
+    retained = SubgameMask.full(gamma_d).retained
+    for u, dsts in changes.items():
+        u = gamma_d.index.get(u, u)
+        if dsts is None:
+            del retained[u]
+        else:
+            retained[u] = tuple(gamma_d.index.get(v, v) for v in dsts)
+    with pytest.raises(MaskError) as err:
+        apply_mask(gamma_d, SubgameMask(retained))
+    assert str(err.value) == message
+
+
+def test_apply_mask_ignores_repeated_destinations(gamma_d):
+    t, u4, v4 = (gamma_d.index[name] for name in ("t", "u4", "v4"))
+    full = SubgameMask.full(gamma_d)
+    assert (apply_mask(gamma_d, full.with_restriction(t, [u4, u4]))
+            == apply_mask(gamma_d, full.with_restriction(t, [u4])))
+    assert (apply_mask(gamma_d, full.with_restriction(t, [v4, u4, v4]))
+            == gamma_d)
 
 
 def test_mask_monotone_means_arc_subset(gamma_d):
@@ -175,12 +211,33 @@ def test_weight_lookup(gamma_ex):
         gamma_ex.weight(gamma_ex.index["A"], gamma_ex.index["C"])
 
 
+def assert_same_slots(arena, checked):
+    for slot in ("names", "owner", "out", "ins", "index", "W", "scale"):
+        assert getattr(arena, slot) == getattr(checked, slot), slot
+
+
 def assert_same_as_checked(derived):
     """A derived arena equals the one the checking constructor builds."""
-    checked = Arena(derived.names, derived.owner, list(derived.arcs()),
-                    derived.scale)
-    for slot in ("names", "owner", "out", "ins", "index", "W", "scale"):
-        assert getattr(derived, slot) == getattr(checked, slot), slot
+    assert_same_slots(derived, Arena(derived.names, derived.owner,
+                                     list(derived.arcs()), derived.scale))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "data").glob("*.mpg")),
+    ids=lambda path: path.name)
+def test_parsed_files_match_checked_construction(path):
+    """The parser builds the arena that ``Arena(names, owners, arcs)``
+    builds from the file's statements, read here by plain splitting."""
+    text = path.read_text(encoding="utf-8")
+    names, owners, arcs = [], [], []
+    for fields in map(str.split, text.splitlines()):
+        if fields[:1] == ["v"]:
+            names.append(fields[1])
+            owners.append(int(fields[2]))
+        elif fields[:1] == ["e"]:
+            arcs.append((names.index(fields[1]), names.index(fields[2]),
+                         int(fields[3])))
+    assert_same_slots(parse_arena(text), Arena(names, owners, arcs))
 
 
 @pytest.mark.parametrize("n,seed", [(5, s) for s in range(8)]

@@ -65,13 +65,14 @@ def test_restrict_rejects_each_bad_choice(rw_ex):
     p1_choice[idx["A"]] = idx["B"]
     cases = [(no_arc, "strategy needs an arc at B"),
              (unset, "strategy needs an arc at E"),
-             (p1_choice, "strategy assigns a Player-1 vertex A")]
+             (p1_choice, "strategy assigns a Player-1 vertex A"),
+             (good[:-1], "strategy has 6 entries for 7 vertices"),
+             (good + (None,), "strategy has 8 entries for 7 vertices"),
+             (good + (idx["A"],), "strategy has 8 entries for 7 vertices")]
     for choice, message in cases:
-        strategy = PositionalStrategy(choice)
-        for check in (restrict, lambda a, s: s.validate(a)):
-            with pytest.raises(StrategyError, match=message):
-                check(rw_ex, strategy)
-    ex_strategy(rw_ex, "F").validate(rw_ex)
+        with pytest.raises(StrategyError, match=message):
+            restrict(rw_ex, PositionalStrategy(choice))
+    restrict(rw_ex, ex_strategy(rw_ex, "F"))
 
 
 def test_least_feasible_potential_f1_f2(rw_ex):
