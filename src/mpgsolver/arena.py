@@ -180,11 +180,19 @@ class SubgameMask:
 def parse_arena(text):
     """Parse the line-based arena format; accepts str or UTF-8 bytes.
 
-    Raises ArenaFormatError with a 1-based line/column for syntax problems,
-    unknown endpoints, duplicate arcs and dead-end vertices.
+    Raises ArenaFormatError with a 1-based line/column for bytes that are
+    not UTF-8, syntax problems, unknown endpoints, duplicate arcs and
+    dead-end vertices.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the sentinel marks the bad byte's place, even at a line start
+            head = (text[:exc.start].decode("utf-8") + "x").splitlines()
+            raise ArenaFormatError("invalid UTF-8 byte 0x%02x"
+                                   % text[exc.start], len(head),
+                                   len(head[-1])) from None
     names, owners, vertex_lines = [], [], []
     index = {}
     rows = []  # per vertex, destination -> weight

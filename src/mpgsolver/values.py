@@ -1,12 +1,12 @@
 """Game values, the ergodic partition, and optimal strategy synthesis.
 
 Every vertex value is the mean weight of some simple cycle, hence a
-rational with denominator at most |V| and magnitude at most W.  Values are
-found by exact bisection: the probe "does Player 0 win the energy game on
-the arena reweighted by nu?" answers val(v) >= nu for every vertex at
-once, so one winning-region computation serves a whole group of vertices.
-Once a group's interval is narrower than 1/|V|^2 it contains exactly one
-candidate value, recovered by scanning denominators 1..|V|.
+candidate k + a/b with |k| <= W and a/b a Farey fraction in [0, 1) of
+order |V| (Zwick & Paterson, TCS 1996).  Values are found by bisection over
+the indices of the sorted candidates: the probe "does Player 0 win the
+energy game on the arena reweighted by nu?" answers val(v) >= nu for every
+vertex at once, so one winning-region computation serves a whole group of
+vertices, and each probe nu, a candidate itself, has denominator <= |V|.
 
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
@@ -16,7 +16,6 @@ subgame's least progress measure in the reweighted energy game.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import energy
@@ -72,36 +71,41 @@ class ErgodicClass:
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))
 
 
-def _candidate_in(lo, hi, n):
-    """The unique rational with denominator <= n in [lo, hi), if any."""
-    for d in range(1, n + 1):
-        num = math.ceil(lo * d)
-        cand = Fraction(num, d)
-        if lo <= cand < hi:
-            return cand
-    raise InternalError("no candidate value in [%s, %s)" % (lo, hi))
+def _farey(n):
+    """Fractions a/b in [0, 1) with b <= n, ascending, as (a, b) pairs."""
+    fracs = [(0, 1)]
+    a, b, c, d = 0, 1, 1, n
+    while c < d:
+        fracs.append((c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return fracs
 
 
 def solve_values(arena):
     """Exact game value of every vertex.
 
-    Bisection invariant per group: lo <= val(v) < hi for all members; a
-    probe at mid splits the group by membership in the winning region of
-    the reweighted energy game.
+    Candidate i is (i // |F| - W) + F[i % |F|] for the Farey fractions F.
+    Invariant per group: cand(lo) <= val(v) < cand(hi) for all members; a
+    probe at cand(mid) splits the group by the reweighted winning region.
     """
-    n = arena.n
-    width_stop = Fraction(1, n * n)
-    vals = [None] * n
-    groups = [(list(range(n)), Fraction(-arena.W), Fraction(arena.W + 1))]
+    farey = _farey(arena.n)
+
+    def cand(i):
+        k, r = divmod(i, len(farey))
+        a, b = farey[r]
+        return Fraction(a + (k - arena.W) * b, b)
+
+    vals = [None] * arena.n
+    groups = [(list(range(arena.n)), 0, (2 * arena.W + 1) * len(farey))]
     while groups:
         members, lo, hi = groups.pop()
-        if hi - lo <= width_stop:
-            cand = _candidate_in(lo, hi, n)
+        if hi - lo == 1:
             for u in members:
-                vals[u] = cand
+                vals[u] = cand(lo)
             continue
-        mid = (lo + hi) / 2
-        w0, _ = energy.winning_regions(reweight(arena, mid))
+        mid = (lo + hi) // 2
+        w0, _ = energy.winning_regions(reweight(arena, cand(mid)))
         winners = [u for u in members if u in w0]
         losers = [u for u in members if u not in w0]
         if winners:
@@ -118,17 +122,11 @@ def ergodic_partition(arena, vals):
     declaration order.  A dead-end inside an induced subgame cannot happen
     when the values are correct and is reported as an internal error.
     """
-    order = []
     by_value = {}
-    for u in range(arena.n):
-        v = vals.vals[u]
-        if v not in by_value:
-            by_value[v] = []
-            order.append(v)
-        by_value[v].append(u)
+    for u, v in enumerate(vals.vals):
+        by_value.setdefault(v, []).append(u)
     classes = []
-    for nu in order:
-        members = by_value[nu]
+    for nu, members in by_value.items():
         local = {u: i for i, u in enumerate(members)}
         out = [[(local[v], w) for v, w in arena.out[u] if v in local]
                for u in members]

@@ -45,6 +45,7 @@ def test_parse_dead_end_rejected():
     ("w a 0\n", "unknown statement"),
     ("v a 0\nv a 0\ne a a 1\n", "declared twice"),
     ("# only a comment\n", "no vertices"),
+    (b"v a 0\ne a a 1\n\xff\n", "invalid UTF-8 byte 0xff"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ArenaFormatError) as err:
@@ -65,6 +66,18 @@ def test_parse_error_reports_position():
         parse_arena("v a 0\ne a a oops\n")
     assert err.value.line == 2
     assert err.value.column == 7
+
+
+@pytest.mark.parametrize("data,line,column", [
+    (b"v a 0\ne a a 1\n\xff\n", 3, 1),
+    (b"\xfe", 1, 1),
+    (b"v a 0\ne a a 1 # \xc3\xa9\xff\n", 2, 12),  # column counts characters
+    (b"v a 0\ne a a 1\r\n\x80\n", 3, 1),
+])
+def test_parse_rejects_non_utf8_at_first_bad_byte(data, line, column):
+    with pytest.raises(ArenaFormatError) as err:
+        parse_arena(data)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_accepts_bytes_and_comments(gamma_ex):

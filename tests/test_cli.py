@@ -51,6 +51,15 @@ def test_solve_malformed_exits_1(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_solve_non_utf8_exits_1_with_one_error_line(capsys, tmp_path):
+    bad = tmp_path / "bad.mpg"
+    bad.write_bytes(b"v a 0\ne a a 1\n\xff\n")
+    code, out, err = run_cli(capsys, "solve", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: line 3, col 1: invalid UTF-8 byte 0xff"]
+
+
 def test_solve_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(tmp_path / "nope.mpg"))
     assert code == 1

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from mpgsolver import (Arena, InternalError, ValueAssignment, compatible_arcs,
-                       ergodic_partition, is_optimal, least_sepm, reweight,
-                       solve_values, synthesize_optimal)
+                       ergodic_partition, is_optimal, least_sepm, parse_arena,
+                       reweight, solve_values, synthesize_optimal)
 from mpgsolver.oracle import exhaustive_opt, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
 
@@ -37,13 +37,40 @@ def test_solve_values_fractional():
     assert vals.vals[2] == Fraction(-1)
 
 
+def test_solve_values_largest_candidate_below_w():
+    # an n-cycle of weights W, ..., W, W - 1 has mean (nW - 1)/n
+    for n, w in ((2, 1), (3, 1), (4, 3), (7, 10)):
+        arcs = [(i, (i + 1) % n, w - (i == n - 1)) for i in range(n)]
+        a = Arena(["x%d" % i for i in range(n)], [i % 2 for i in range(n)],
+                  arcs)
+        assert solve_values(a).vals == (Fraction(n * w - 1, n),) * n
+
+
 def test_values_match_oracle_and_small_denominators():
     for seed in range(50):
-        a = gen_random_arena(5, 3, 4, seed)
-        vals = solve_values(a)
-        oracle_vals, _ = exhaustive_opt(a)
-        assert vals == oracle_vals
-        assert all(v.denominator <= a.n for v in vals.vals)
+        for a in (gen_random_arena(5, 3, 4, seed),
+                  gen_random_arena(6, 3, 100, seed)):
+            vals = solve_values(a)
+            oracle_vals, _ = exhaustive_opt(a)
+            assert vals == oracle_vals
+            assert all(v.denominator <= a.n for v in vals.vals)
+
+
+def test_every_probe_is_a_candidate(data_dir, monkeypatch):
+    arenas = [parse_arena(p.read_bytes())
+              for p in sorted(data_dir.glob("*.mpg"))]
+    arenas += [gen_random_arena(5 + s % 8, 3, 1 + s % 6, 9000 + s)
+               for s in range(50)]
+    probes = []
+    monkeypatch.setattr("mpgsolver.values.reweight",
+                        lambda a, nu: probes.append(nu) or reweight(a, nu))
+    for a in arenas:
+        probes.clear()
+        solve_values(a)
+        assert probes
+        for nu in probes:
+            assert Fraction(nu).denominator <= a.n
+            assert -a.W <= nu < a.W + 1
 
 
 def test_ergodic_partition_single_class(gamma_ex):
