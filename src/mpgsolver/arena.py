@@ -43,6 +43,10 @@ class Arena:
 
     ``scale`` records the denominator accumulated by reweightings, so that
     energy levels computed on this arena are expressed in scaled units.
+    ``W`` is the game's weight bound, which sets its energy cap: the
+    largest |weight| of its rows, kept by Player-0 restrictions
+    (``apply_mask``, ``potentials.restrict``) so that a subgame's
+    measures compare with its game's.
 
     The constructor checks its input.  Parsed and derived arenas come from
     ``_from_rows``, which trusts rows that were already checked.
@@ -82,14 +86,15 @@ class Arena:
         self._fill(names, owners, out, scale)
 
     @classmethod
-    def _from_rows(cls, names, owners, out, scale):
+    def _from_rows(cls, names, owners, out, scale, W=None):
         """Unchecked arena; each ``out[u]`` must be a nonempty sequence of
-        in-range ``(dst, weight)`` pairs sorted by destination index."""
+        in-range ``(dst, weight)`` pairs sorted by destination index.
+        ``W`` defaults to the rows' own largest |weight|."""
         arena = cls.__new__(cls)
-        arena._fill(names, owners, out, scale)
+        arena._fill(names, owners, out, scale, W)
         return arena
 
-    def _fill(self, names, owners, out, scale):
+    def _fill(self, names, owners, out, scale, W=None):
         self.names = tuple(names)
         self.owner = tuple(owners)
         self.out = tuple(tuple(row) for row in out)
@@ -99,7 +104,8 @@ class Arena:
                 ins[v].append((u, w))
         self.ins = tuple(tuple(row) for row in ins)
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.W = max(abs(w) for row in self.out for _, w in row)
+        self.W = (max(abs(w) for row in self.out for _, w in row)
+                  if W is None else W)
         self.scale = scale
 
     @property
@@ -117,12 +123,6 @@ class Arena:
 
     def vertices_of(self, player):
         return tuple(u for u in range(self.n) if self.owner[u] == player)
-
-    def weight(self, src, dst):
-        for v, w in self.out[src]:
-            if v == dst:
-                return w
-        raise KeyError("no arc %s -> %s" % (self.names[src], self.names[dst]))
 
     def __eq__(self, other):
         if not isinstance(other, Arena):
@@ -189,14 +189,14 @@ def parse_arena(text):
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             # the sentinel marks the bad byte's place, even at a line start
-            head = (text[:exc.start].decode("utf-8") + "x").splitlines()
+            head = (text[:exc.start].decode("utf-8") + "x").split("\n")
             raise ArenaFormatError("invalid UTF-8 byte 0x%02x"
                                    % text[exc.start], len(head),
                                    len(head[-1])) from None
     names, owners, vertex_lines = [], [], []
     index = {}
     rows = []  # per vertex, destination -> weight
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -295,7 +295,8 @@ def apply_mask(arena, mask):
                     arena.names[u],
                     arena.names[v] if v in range(arena.n) else repr(v)))
         out.append(row)
-    return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
+    return Arena._from_rows(arena.names, arena.owner, out, arena.scale,
+                            arena.W)
 
 
 def to_dot(arena):

@@ -3,7 +3,9 @@
 Energy values live in {0, ..., K} plus a top element.  Internally a value
 is a plain int, with K+1 standing for top; this keeps the lifting loop in
 cheap integer comparisons while staying exact.  K is the arena's cap
-(|V|-1)*W: no finite least progress-measure entry can exceed it.  The
+(|V|-1)*W: no finite least progress-measure entry can exceed it.  W is
+the game's weight bound, which Player-0 restrictions keep, so every
+subgame of a game has the game's cap and their measures compare.  The
 lifting loop saturates earlier, at the arena's credit bound B (the sum of
 the |V|-1 largest drops, see ``least_sepm``): any lift past min(K, B) goes
 straight to top, while K stays the cap that values are reported against.
@@ -114,17 +116,19 @@ def is_sepm(arena, f):
     return True
 
 
-def least_sepm(arena, seed=None, cap=None, lift_counter=None):
+def least_sepm(arena, seed=None, lift_counter=None):
     """Pointwise-least SEPM by worklist value iteration.
 
     ``seed`` must lie pointwise below the true least SEPM (a parent
     subgame's least SEPM qualifies, since dropping Player-0 arcs can only
-    raise the fixpoint); by default iteration starts from all-zero.  The
-    FIFO worklist starts with the violated vertices in declaration order.
-    After u is lifted to ``target``, every predecessor p of u that is not
-    queued and has ``f[p] < target (-) w(p, u)`` is enqueued; this covers
-    u's own self-loop too.  A popped vertex is lifted only if it is still
-    violated, since a Player-0 vertex may be satisfied by another arc.
+    raise the fixpoint); by default iteration starts from all-zero.  A
+    seed from another game (its cap is not this arena's) raises
+    InternalError.  The FIFO worklist starts with the violated vertices in
+    declaration order.  After u is lifted to ``target``, every predecessor
+    p of u that is not queued and has ``f[p] < target (-) w(p, u)`` is
+    enqueued; this covers u's own self-loop too.  A popped vertex is lifted
+    only if it is still violated, since a Player-0 vertex may be satisfied
+    by another arc.
 
     A lift whose target exceeds ``min(cap, B)`` goes straight to top,
     where B is the sum of the |V|-1 largest drops max(0, -min weight out
@@ -137,8 +141,7 @@ def least_sepm(arena, seed=None, cap=None, lift_counter=None):
     ``lift_counter``, if given, is a one-element list accumulating the
     number of lift operations (diagnostic only).
     """
-    if cap is None:
-        cap = arena_cap(arena)
+    cap = arena_cap(arena)
     n = arena.n
     if seed is None:
         f = [0] * n

@@ -104,9 +104,6 @@ class SubgameLattice:
     def __init__(self, nodes):
         self.nodes = list(nodes)
 
-    def phi(self, node_id):
-        return self.nodes[node_id].sepm_id
-
     def edges(self):
         for node in self.nodes:
             for parent in node.parent_ids:
@@ -131,8 +128,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     precondition.
     """
     scaled = reweight(arena, nu)
-    cap = energy.arena_cap(scaled)
-    root_f = energy.least_sepm(scaled, cap=cap)
+    root_f = energy.least_sepm(scaled)
     if not root_f.all_finite():
         raise NotNuValuedError("reweighted arena is not everywhere winning; "
                                "input is not %s-valued" % (nu,))
@@ -187,7 +183,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                 continue  # inside a pruned subgame: pruned too
             child_f = energy.least_sepm(
                 apply_mask(scaled, child_mask),
-                seed=f if seed_children else None, cap=cap)
+                seed=f if seed_children else None)
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
                 pruned = [other for other in pruned

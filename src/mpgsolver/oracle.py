@@ -145,11 +145,6 @@ def payoff_vector(graph):
     return tuple(payoffs)
 
 
-def min_cycle_mean_reachable(graph, v):
-    """Exact minimum mean weight over cycles reachable from v."""
-    return payoff_vector(graph)[v]
-
-
 def all_strategies(arena):
     """Every positional strategy, in canonical (declaration) order."""
     p0 = arena.vertices_of(0)
@@ -198,25 +193,23 @@ def reference_energy_lattice(arena, nu, opt):
     a nu-valued game, produced without any recursion or store.
     """
     scaled = reweight(arena, nu)
-    cap = energy.arena_cap(scaled)
     seen = set()
     out = []
     for strategy in opt:
-        pi = least_feasible_potential(restrict(scaled, strategy), cap=cap)
+        pi = least_feasible_potential(restrict(scaled, strategy))
         if pi.values not in seen:
             seen.add(pi.values)
             out.append(pi)
     return out
 
 
-def naive_least_sepm(arena, cap=None):
+def naive_least_sepm(arena):
     """Least SEPM by full Kleene sweeps from the all-zero function.
 
     Reference for the worklist iteration; exponential patience, desk-scale
     inputs only.
     """
-    if cap is None:
-        cap = energy.arena_cap(arena)
+    cap = energy.arena_cap(arena)
     f = [0] * arena.n
     while True:
         g = []

@@ -74,20 +74,20 @@ def restrict(arena, strategy):
                 raise StrategyError("strategy needs an arc at %s"
                                     % arena.names[u])
         out.append(row)
-    return Arena._from_rows(arena.names, arena.owner, out, arena.scale)
+    return Arena._from_rows(arena.names, arena.owner, out, arena.scale,
+                            arena.W)
 
 
-def least_feasible_potential(graph, cap=None):
+def least_feasible_potential(graph):
     """Least pi with pi(u) >= pi(v) (-) w(u,v) along every arc.
 
     Reference only (oracle, checks, tests); the solver lifts instead.
     pi(v) is top exactly when a negative cycle is reachable from v.  Finite
-    values on conservative parts never exceed (|V|-1)*W, so a value above
-    the cap would indicate a bug and raises InternalError; the cap
-    defaults to the graph's own (|V|-1)*W.
+    values on conservative parts never exceed (|V|-1) times the largest
+    |weight| of the graph's own arcs, so a value above that would indicate
+    a bug and raises InternalError.
     """
-    if cap is None:
-        cap = arena_cap(graph)
+    cap = arena_cap(graph)
     top = cap + 1
     n = graph.n
     out = graph.out
@@ -115,7 +115,7 @@ def least_feasible_potential(graph, cap=None):
                     frontier.append(u)
         for u in reach:
             f[u] = top
-    own_bound = min(cap, (n - 1) * graph.W)
+    own_bound = (n - 1) * max(abs(w) for _, _, w in graph.arcs())
     for u in range(n):
         if f[u] != top and f[u] > own_bound:
             raise InternalError("finite potential above (|V|-1)*W at %s"
@@ -148,4 +148,4 @@ def delta_membership(arena, f, strategy):
     ``arena`` must already be reweighted.  Player 0 has no choice left
     there, so this least SEPM is the strategy's least feasible potential.
     """
-    return least_sepm(restrict(arena, strategy), cap=f.cap) == f
+    return least_sepm(restrict(arena, strategy)) == f

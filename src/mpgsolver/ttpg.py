@@ -27,10 +27,6 @@ class TruncatedValueTable:
         self.kind = kind
         self.rows = [tuple(row) for row in rows]
 
-    @property
-    def k_max(self):
-        return len(self.rows) - 1
-
     def to_json(self, arena):
         return {
             "kind": self.kind,

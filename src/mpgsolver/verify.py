@@ -40,7 +40,6 @@ def _check_class(report, cls, max_strategies):
     """All per-class identities on one value class."""
     sub, nu = cls.subgame, cls.nu
     scaled = reweight(sub, nu)
-    cap = energy.arena_cap(scaled)
 
     vals_sub, opt = oracle.exhaustive_opt(sub, max_strategies)
     if any(v != nu for v in vals_sub.vals):
@@ -70,7 +69,7 @@ def _check_class(report, cls, max_strategies):
 
     # The defining description of the energy lattice.
     potential = {s.choice: potentials.least_feasible_potential(
-                     potentials.restrict(scaled, s), cap=cap).values
+                     potentials.restrict(scaled, s)).values
                  for s in opt}
     if {f.values for f in x} != set(potential.values()):
         report.fail("enumerated lattice differs from optimal-strategy "
@@ -134,7 +133,7 @@ def _check_class(report, cls, max_strategies):
         report.fail("root measure is not the pointwise minimum")
 
     # Worklist against naive Kleene iteration on the reweighted subgame.
-    if oracle.naive_least_sepm(scaled, cap=cap) != cls.least_sepm():
+    if oracle.naive_least_sepm(scaled) != cls.least_sepm():
         report.fail("worklist and Kleene least measures differ")
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from mpgsolver import (decompose, enumerate_lattice, least_sepm, parse_arena,
                        reweight, serialize_arena, winning_regions)
-from mpgsolver.energy import arena_cap
 from mpgsolver.oracle import (all_strategies, exhaustive_opt,
                               gen_random_arena, naive_least_sepm,
                               reference_energy_lattice)
@@ -154,15 +153,13 @@ def test_criterion_5_fixpoint_cross_checks(corpus_classes):
     with criterion(5, "worklist vs Kleene and seeded vs unseeded"):
         for sub, nu in corpus_classes:
             scaled = reweight(sub, nu)
-            cap = arena_cap(scaled)
-            assert least_sepm(scaled, cap=cap) == naive_least_sepm(
-                scaled, cap=cap)
+            assert least_sepm(scaled) == naive_least_sepm(scaled)
             x, b = enumerate_lattice(sub, nu)
             for parent_id, child_id in b.edges():
                 parent_f = x.sepms[b.nodes[parent_id].sepm_id]
                 child = apply_mask(scaled, b.nodes[child_id].mask)
-                warm = least_sepm(child, seed=parent_f, cap=cap)
-                cold = least_sepm(child, cap=cap)
+                warm = least_sepm(child, seed=parent_f)
+                cold = least_sepm(child)
                 assert warm == cold
                 assert warm == x.sepms[b.nodes[child_id].sepm_id]
 

@@ -46,6 +46,10 @@ def test_parse_dead_end_rejected():
     ("v a 0\nv a 0\ne a a 1\n", "declared twice"),
     ("# only a comment\n", "no vertices"),
     (b"v a 0\ne a a 1\n\xff\n", "invalid UTF-8 byte 0xff"),
+    # only LF ends a line: a comment runs on past U+2028, and a form
+    # feed does not start a new statement
+    ("v a 0\n# note\u2028e a a 5\n", "no outgoing arc"),
+    ("v a 0\x0ce a a 7\n", "expected 'v <id> <0|1>'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ArenaFormatError) as err:
@@ -73,11 +77,18 @@ def test_parse_error_reports_position():
     (b"\xfe", 1, 1),
     (b"v a 0\ne a a 1 # \xc3\xa9\xff\n", 2, 12),  # column counts characters
     (b"v a 0\ne a a 1\r\n\x80\n", 3, 1),
+    (b"v a 0\n# \xe2\x80\xa8 note\n\xff\n", 3, 1),  # U+2028 ends no line
+    (b"v a 0 \xc2\x85\xff\n", 1, 8),                 # nor does U+0085
 ])
 def test_parse_rejects_non_utf8_at_first_bad_byte(data, line, column):
     with pytest.raises(ArenaFormatError) as err:
         parse_arena(data)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_breaks_lines_at_lf_only():
+    a = parse_arena("v a 0\r\n# note\u2028e a a 5\r\ne a a 1\r\n")
+    assert a.out == (((0, 1),),)
 
 
 def test_parse_accepts_bytes_and_comments(gamma_ex):
@@ -218,21 +229,19 @@ def test_to_dot_mentions_every_arc(gamma_ex):
     assert dot.count("->") == gamma_ex.arc_count()
 
 
-def test_weight_lookup(gamma_ex):
-    assert gamma_ex.weight(gamma_ex.index["C"], gamma_ex.index["D"]) == -5
-    with pytest.raises(KeyError):
-        gamma_ex.weight(gamma_ex.index["A"], gamma_ex.index["C"])
-
-
 def assert_same_slots(arena, checked):
     for slot in ("names", "owner", "out", "ins", "index", "W", "scale"):
         assert getattr(arena, slot) == getattr(checked, slot), slot
 
 
-def assert_same_as_checked(derived):
-    """A derived arena equals the one the checking constructor builds."""
-    assert_same_slots(derived, Arena(derived.names, derived.owner,
-                                     list(derived.arcs()), derived.scale))
+def assert_same_as_checked(derived, restricted=None):
+    """A derived arena equals the one the checking constructor builds,
+    except that a restriction keeps the W of the arena it restricts."""
+    checked = Arena(derived.names, derived.owner, list(derived.arcs()),
+                    derived.scale)
+    for slot in ("names", "owner", "out", "ins", "index", "scale"):
+        assert getattr(derived, slot) == getattr(checked, slot), slot
+    assert derived.W == (checked if restricted is None else restricted).W
 
 
 @pytest.mark.parametrize(
@@ -266,7 +275,7 @@ def test_derived_arenas_match_checked_construction(n, seed):
         assert_same_as_checked(scaled)
         x, b = enumerate_lattice(sub, nu)
         for node in b.nodes:
-            assert_same_as_checked(apply_mask(scaled, node.mask))
+            assert_same_as_checked(apply_mask(scaled, node.mask), scaled)
         for block in decompose(sub, nu, x):
             for strategy in block.strategies:
-                assert_same_as_checked(restrict(scaled, strategy))
+                assert_same_as_checked(restrict(scaled, strategy), scaled)

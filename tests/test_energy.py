@@ -8,6 +8,7 @@ from mpgsolver import (Arena, EnergyFunction, SubgameMask, apply_mask,
                        arena_cap, compatible_arcs, ergodic_partition,
                        incompatible_arcs, is_sepm, least_sepm, ominus,
                        reweight, solve_values, winning_regions)
+from mpgsolver.errors import InternalError
 from mpgsolver.oracle import gen_random_arena, naive_least_sepm
 
 GAMMA_EX_FSTAR = (0, 4, 8, 4, 0, 4, 0)  # A..G on the w+1 reweighting
@@ -55,7 +56,7 @@ def test_least_sepm_gamma_d_subgame(gamma_d):
             .with_restriction(idx["u3"], [idx["u1"]])
             .with_restriction(idx["v3"], [idx["v1"]])
             .with_restriction(idx["t"], [idx["u4"]]))
-    f = least_sepm(apply_mask(gamma_d, mask), cap=arena_cap(gamma_d))
+    f = least_sepm(apply_mask(gamma_d, mask))
     expect = {"u3": 2, "v3": 2, "t": 10}
     for u, name in enumerate(gamma_d.names):
         assert f.values[u] == expect.get(name, 0)
@@ -105,8 +106,8 @@ def test_least_sepm_is_sepm_and_matches_kleene():
                     continue
                 child = apply_mask(
                     a, SubgameMask.full(a).with_restriction(u, cut))
-                g = least_sepm(child, seed=f, cap=f.cap)
-                assert g == naive_least_sepm(child, cap=f.cap)
+                g = least_sepm(child, seed=f)
+                assert g == naive_least_sepm(child)
                 seeded_to_top += not g.all_finite()
     assert seeded_to_top > 0
 
@@ -171,8 +172,8 @@ def test_credit_bound_matches_kleene_with_tops():
             if cut:
                 child = apply_mask(
                     a, SubgameMask.full(a).with_restriction(u, cut))
-                g = least_sepm(child, seed=f, cap=f.cap)
-                assert g == naive_least_sepm(child, cap=f.cap)
+                g = least_sepm(child, seed=f)
+                assert g == naive_least_sepm(child)
                 tops += not g.all_finite()
                 break
     assert tops > 100 and finite > 50
@@ -183,8 +184,8 @@ def test_seeded_restart_equals_cold_start(gamma_d):
     parent = least_sepm(gamma_d)
     mask = SubgameMask.full(gamma_d).with_restriction(idx["t"], [idx["u4"]])
     child = apply_mask(gamma_d, mask)
-    cold = least_sepm(child, cap=parent.cap)
-    warm = least_sepm(child, seed=parent, cap=parent.cap)
+    cold = least_sepm(child)
+    warm = least_sepm(child, seed=parent)
     assert cold == warm
 
 
@@ -198,7 +199,7 @@ def test_monotone_under_p0_arc_removal():
         u = p0[0]
         keep = [v for v, _ in a.out[u]][1:]
         sub = apply_mask(a, SubgameMask.full(a).with_restriction(u, keep))
-        g = least_sepm(sub, cap=f.cap)
+        g = least_sepm(sub)
         assert all(x <= y for x, y in zip(f.values, g.values))
 
 
@@ -212,7 +213,6 @@ def test_least_sepm_antitone_in_retained_arcs():
         rng = random.Random(seed)
         for cls in ergodic_partition(a, solve_values(a)):
             scaled = reweight(cls.subgame, cls.nu)
-            cap = arena_cap(scaled)
             masks = [SubgameMask.full(scaled)]
             for _ in range(4):
                 retained = masks[-1].retained
@@ -223,7 +223,7 @@ def test_least_sepm_antitone_in_retained_arcs():
                 dsts = retained[u]
                 keep = rng.sample(dsts, rng.randint(1, len(dsts) - 1))
                 masks.append(masks[-1].with_restriction(u, keep))
-            fs = [least_sepm(apply_mask(scaled, m), cap=cap) for m in masks]
+            fs = [least_sepm(apply_mask(scaled, m)) for m in masks]
             assert fs[0].all_finite()
             for big, small in itertools.combinations(fs, 2):
                 assert big.pointwise_le(small)
@@ -255,6 +255,14 @@ def test_energy_function_json(gamma_ex):
     assert blob["values"]["C"] == 8
     g = EnergyFunction([f.cap + 1] * 7, f.cap)
     assert g.to_json(gamma_ex)["values"]["A"] == "top"
+
+
+def test_seed_from_another_game_raises():
+    # same vertices, but W = 1 against W = 2: the caps differ
+    a = Arena(["x", "y"], [0, 1], [(0, 1, 1), (1, 0, -1)])
+    b = Arena(["x", "y"], [0, 1], [(0, 1, 2), (1, 0, -1)])
+    with pytest.raises(InternalError):
+        least_sepm(b, seed=least_sepm(a))
 
 
 def test_pointwise_le_requires_same_cap():

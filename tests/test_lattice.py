@@ -6,9 +6,10 @@ import pytest
 
 from mpgsolver import lattice
 from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
-                       compatible_arcs, decompose, enumerate_lattice,
-                       incompatible_arcs, least_feasible_potential,
-                       least_sepm, ominus, restrict, reweight)
+                       apply_mask, compatible_arcs, decompose,
+                       enumerate_lattice, incompatible_arcs,
+                       least_feasible_potential, least_sepm, ominus,
+                       restrict, reweight)
 from mpgsolver.oracle import (exhaustive_opt, gen_random_arena,
                               reference_energy_lattice)
 from mpgsolver.potentials import PositionalStrategy, delta_membership
@@ -56,7 +57,7 @@ def test_enumerate_gamma_ex(gamma_ex):
     removed_1 = {(names[u], names[v])
                  for u, v in b.nodes[1].removed_arcs(gamma_ex)}
     assert removed_1 == {("E", "A"), ("E", "G")}
-    assert [b.phi(i) for i in range(3)] == [0, 1, 2]
+    assert [node.sepm_id for node in b.nodes] == [0, 1, 2]
 
 
 def test_enumerate_gamma_d_degenerate(gamma_d):
@@ -233,8 +234,7 @@ def test_decompose_matches_oracle_on_random_classes():
                 tight = {arc for u in p0 for arc in _tight_arcs(scaled, f, u)}
                 for picks in itertools.product(*pools):
                     s = _strategy(scaled.n, p0, picks)
-                    pi = least_feasible_potential(restrict(scaled, s),
-                                                  cap=f.cap)
+                    pi = least_feasible_potential(restrict(scaled, s))
                     member = delta_membership(scaled, f, s)
                     assert member == (pi == f)
                     if member:
@@ -325,3 +325,27 @@ def test_regrouping_by_potential_reproduces_lattice(gamma_ex):
         f = x.sepms[bl.sepm_id]
         regroup = {s.choice for s in opt if delta_membership(scaled, f, s)}
         assert regroup == {s.choice for s in bl.strategies}
+
+
+def test_restrictions_share_the_games_cap():
+    # A basic subgame's least SEPM is its node's measure, and a listed
+    # block member's least feasible potential is its block's measure,
+    # though the restriction may have lost the game's heaviest arc.
+    lighter = 0
+    for s in range(100):
+        a = gen_random_arena(5 + s % 6, 3, 1 + s % 6, 5000 + s)
+        for cls in ergodic_partition(a, solve_values(a)):
+            scaled = reweight(cls.subgame, cls.nu)
+            x, b = enumerate_lattice(cls.subgame, cls.nu)
+            for node in b.nodes:
+                child = apply_mask(scaled, node.mask)
+                assert least_sepm(child) == x.sepms[node.sepm_id]
+                lighter += max(abs(w) for *_, w in child.arcs()) < scaled.W
+            for block in decompose(cls.subgame, cls.nu, x):
+                for strategy in block.strategies:
+                    graph = restrict(scaled, strategy)
+                    assert (least_feasible_potential(graph)
+                            == x.sepms[block.sepm_id])
+                    lighter += (max(abs(w) for *_, w in graph.arcs())
+                                < scaled.W)
+    assert lighter > 0

@@ -5,10 +5,9 @@ import pytest
 from mpgsolver import (Arena, OracleBoundError, least_sepm, parse_arena,
                        reweight, serialize_arena)
 from mpgsolver.oracle import (all_strategies, exhaustive_opt,
-                              gen_random_arena, min_cycle_mean_reachable,
-                              naive_least_sepm, payoff_vector,
-                              reference_energy_lattice, strategy_count,
-                              ttpg_game_tree_value)
+                              gen_random_arena, naive_least_sepm,
+                              payoff_vector, reference_energy_lattice,
+                              strategy_count, ttpg_game_tree_value)
 from mpgsolver.potentials import PositionalStrategy, restrict
 from mpgsolver.values import solve_values
 
@@ -24,15 +23,14 @@ def ex_graph(gamma_ex, e_target):
 def test_min_cycle_mean_gamma_ex(gamma_ex):
     for target in "ACFG":
         g = ex_graph(gamma_ex, target)
-        for v in range(g.n):
-            assert min_cycle_mean_reachable(g, v) == Fraction(-1)
+        assert payoff_vector(g) == (Fraction(-1),) * g.n
 
 
 def test_min_cycle_mean_self_loop():
     for c in (-2, 0, 5):
         a = Arena(["x"], [1], [(0, 0, c)])
         g = restrict(a, PositionalStrategy([None]))
-        assert min_cycle_mean_reachable(g, 0) == Fraction(c)
+        assert payoff_vector(g)[0] == Fraction(c)
 
 
 def test_min_cycle_mean_takes_minimum_of_reachable_loops():
@@ -42,16 +40,15 @@ def test_min_cycle_mean_takes_minimum_of_reachable_loops():
         (1, 2, 1), (2, 1, 0),
         (3, 4, 0), (4, 5, 0), (5, 3, -1)])
     g = restrict(a, PositionalStrategy([None] * 6))
-    assert min_cycle_mean_reachable(g, 0) == Fraction(-1, 3)
-    assert min_cycle_mean_reachable(g, 1) == Fraction(1, 2)
+    assert payoff_vector(g)[0] == Fraction(-1, 3)
+    assert payoff_vector(g)[1] == Fraction(1, 2)
 
 
 def test_payoff_vector_matches_per_vertex(gamma_d):
-    s = next(all_strategies(gamma_d))
-    g = restrict(gamma_d, s)
-    vector = payoff_vector(g)
-    assert all(vector[v] == min_cycle_mean_reachable(g, v)
-               for v in range(g.n))
+    # gamma_d has value 0 everywhere and every strategy graph of it is
+    # conservative, so every strategy pays exactly 0 at every vertex
+    for s in all_strategies(gamma_d):
+        assert payoff_vector(restrict(gamma_d, s)) == (0,) * gamma_d.n
 
 
 def test_exhaustive_opt_gamma_ex(gamma_ex):

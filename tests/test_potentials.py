@@ -110,7 +110,7 @@ def test_delta_membership(rw_ex):
     assert delta_membership(rw_ex, fstar, ex_strategy(rw_ex, "G"))
     # pi* of a strategy graph is in its own block by definition
     s = ex_strategy(rw_ex, "C")
-    pi = least_feasible_potential(restrict(rw_ex, s), cap=cap)
+    pi = least_feasible_potential(restrict(rw_ex, s))
     assert delta_membership(rw_ex, pi, s)
 
 
@@ -120,7 +120,7 @@ def test_potential_is_least_and_feasible():
         for s in list(all_strategies(a))[:4]:
             g = restrict(a, s)
             cap = arena_cap(a)
-            pi = least_feasible_potential(g, cap=cap)
+            pi = least_feasible_potential(g)
             # feasibility along every arc of the one-player graph
             for u, v, w in g.arcs():
                 assert pi.values[u] >= ominus(pi.values[v], w, cap)
@@ -134,13 +134,13 @@ def test_potential_is_least_and_feasible():
                 f = nxt
             assert tuple(f) == pi.values
             # Player 0 keeps one arc, so lifting reaches the same fixpoint
-            assert least_sepm(g, cap=cap) == pi
+            assert least_sepm(g) == pi
 
 
 def test_conservative_iff_potential_finite():
     # Also checks delta_membership's rule: Player 0 has no choice left in a
     # restricted arena, so lifting it reaches the Bellman-Ford potential,
-    # with either cap, at every class value and off the values.
+    # at every class value and off the values.
     with_top = 0
     for seed in range(60):
         a = gen_random_arena(5, 3, 4, seed)
@@ -152,15 +152,7 @@ def test_conservative_iff_potential_finite():
                 assert isinstance(g, Arena)
                 pi = least_feasible_potential(g)
                 assert is_conservative(g) == pi.all_finite()
-                # The default cap is the restricted arena's own; a wider
-                # cap changes only the encoding of top, not finite values.
-                wide = least_feasible_potential(g, cap=arena_cap(scaled))
-                finite = pi.finite_vertices()
-                assert finite == wide.finite_vertices()
-                assert ([pi.values[u] for u in finite]
-                        == [wide.values[u] for u in finite])
                 assert least_sepm(g) == pi
-                assert least_sepm(g, cap=arena_cap(scaled)) == wide
                 with_top += not pi.all_finite()
     assert with_top > 0
 

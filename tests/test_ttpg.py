@@ -12,7 +12,6 @@ from mpgsolver.oracle import gen_random_arena, ttpg_game_tree_value
 def test_plain_row_zero(gamma_ex):
     table = plain_ttpg(gamma_ex, 0)
     assert table.rows == [(0,) * 7]
-    assert table.k_max == 0
 
 
 def test_plain_self_loop_accumulates():
