@@ -4,13 +4,17 @@ An arena is a finite directed graph with integer arc weights whose vertices
 are split between Player 0 (maximizer) and Player 1 (minimizer).  Every
 vertex must have at least one outgoing arc, so plays never get stuck.
 
-Text format (UTF-8, LF, one statement per line):
+Text format (UTF-8, one statement per line; a line ends at LF, and one
+CR just before it is dropped):
 
     # comment
     v <id> <0|1>          vertex declaration, owner 0 or 1
     e <src> <dst> <int>   arc declaration
 
-Ids match ``[A-Za-z0-9_]+`` and weights ``-?[0-9]+``.  Canonical
+Fields are separated by runs of ASCII spaces or tabs, which may also lead
+and trail a line.  Ids match ``[A-Za-z0-9_]+`` and weights ``-?[0-9]+``,
+so any other whitespace in a statement is part of a field that fails its
+check, and raises an error at that line and column.  Canonical
 serialization writes one header comment, all ``v`` lines in declaration
 order, then ``e`` lines sorted by (src, dst) declaration index;
 parse/serialize round-trips bit-exactly.
@@ -20,7 +24,9 @@ in the pass that builds from it: ``parse_arena`` and ``Arena(...)`` check
 ids, owners, arcs and dead ends, and ``apply_mask`` checks a mask as it
 filters the rows (``potentials.restrict`` checks a strategy likewise).
 Derived arenas (reweightings, masked subgames, strategy restrictions,
-value-class subgames) are built from checked rows by ``Arena._from_rows``.
+value-class subgames) are built from checked rows by ``Arena._from_rows``;
+the lattice's children, which differ from their parent in one row, by
+``Arena._cut_row``, which shares every other row.
 """
 
 from __future__ import annotations
@@ -92,6 +98,25 @@ class Arena:
         ``W`` defaults to the rows' own largest |weight|."""
         arena = cls.__new__(cls)
         arena._fill(names, owners, out, scale, W)
+        return arena
+
+    def _cut_row(self, u, dsts):
+        """Unchecked subgame keeping only the arcs from ``u`` to ``dsts``,
+        a nonempty subset of u's destinations.  It shares every other
+        ``out`` row, every ``ins`` row the cut leaves alone, ``names``,
+        ``owner``, ``index``, ``scale`` and ``W`` with this arena."""
+        keep = set(dsts)
+        arena = Arena.__new__(Arena)
+        for slot in ("names", "owner", "index", "scale", "W"):
+            setattr(arena, slot, getattr(self, slot))
+        out = list(self.out)
+        out[u] = tuple((v, w) for v, w in out[u] if v in keep)
+        arena.out = tuple(out)
+        ins = list(self.ins)
+        for v, _ in self.out[u]:
+            if v not in keep:
+                ins[v] = tuple(arc for arc in ins[v] if arc[0] != u)
+        arena.ins = tuple(ins)
         return arena
 
     def _fill(self, names, owners, out, scale, W=None):
@@ -196,11 +221,17 @@ def parse_arena(text):
     names, owners, vertex_lines = [], [], []
     index = {}
     rows = []  # per vertex, destination -> weight
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    # A tab separates like a space, and a line may end in one CR: neither
+    # moves a column, so errors point into the text as given.
+    lines = text.replace("\t", " ").replace("\r\n", "\n").split("\n")
+    if lines[-1].endswith("\r"):
+        lines[-1] = lines[-1][:-1]
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split(" ")
+        if "" in fields:  # a run of separators, or one at either end
+            fields = [field for field in fields if field]
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         kind = fields[0]
         if kind == "v":
             if len(fields) != 3:
@@ -225,18 +256,19 @@ def parse_arena(text):
                 raise ArenaFormatError("expected 'e <src> <dst> <int>'",
                                        lineno, 1)
             _, src, dst, weight = fields
-            for endpoint in (src, dst):
-                if endpoint not in index:
-                    raise ArenaFormatError("unknown vertex %r" % endpoint,
-                                           lineno, raw.find(endpoint) + 1)
+            u, v = index.get(src), index.get(dst)
+            if u is None or v is None:
+                endpoint = dst if u is not None else src
+                raise ArenaFormatError("unknown vertex %r" % endpoint,
+                                       lineno, raw.find(endpoint) + 1)
             if not _INT_RE.match(weight):
                 raise ArenaFormatError("weight %r is not an integer" % weight,
                                        lineno, raw.rfind(weight) + 1)
-            row = rows[index[src]]
-            if index[dst] in row:
+            row = rows[u]
+            if v in row:
                 raise ArenaFormatError("duplicate arc %s -> %s" % (src, dst),
                                        lineno, 1)
-            row[index[dst]] = int(weight)
+            row[v] = int(weight)
         else:
             raise ArenaFormatError("unknown statement %r" % kind, lineno, 1)
     if not names:

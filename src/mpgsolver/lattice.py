@@ -14,7 +14,9 @@ incompatible with the current subgame's least progress measure:
      visited, and children whose retained arcs lie, at every Player-0
      vertex, inside those of a child already pruned; compute the child's
      least measure seeded from f; keep the child only if that measure is
-     finite everywhere;
+     finite everywhere.  A child is its parent's subgame arena with row u
+     cut (``Arena._cut_row``): it shares every other row, so no subgame
+     is rebuilt from the root;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
@@ -35,7 +37,7 @@ import itertools
 import math
 
 from . import energy
-from .arena import SubgameMask, apply_mask, reweight
+from .arena import SubgameMask, reweight
 from .errors import InternalError, NotNuValuedError
 from .potentials import delta_membership, PositionalStrategy
 
@@ -158,15 +160,14 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
         return node.id
 
     # Explicit stack mirroring the recursion: children are pushed in
-    # declaration order and expanded last-first.
+    # declaration order and expanded last-first, each with its subgame.
     root = SubgameMask.full(scaled)
-    pending = [(emit(root, root.key(), root_f, []), root_f)]
+    pending = [(emit(root, root.key(), root_f, []), root_f, scaled)]
     while pending:
-        node_id, f = pending.pop()
+        node_id, f, sub = pending.pop()
         mask = nodes[node_id].mask
         for u in p0:
-            kept = mask.retained[u]
-            cut = [v for _, v in incompatible_arcs(scaled, f, u) if v in kept]
+            cut = [v for _, v in incompatible_arcs(sub, f, u)]
             if not cut:
                 continue
             child_mask = mask.with_restriction(u, cut)
@@ -181,16 +182,17 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
             if any(all(map(frozenset.issubset, arcs, other))
                    for other in pruned):
                 continue  # inside a pruned subgame: pruned too
-            child_f = energy.least_sepm(
-                apply_mask(scaled, child_mask),
-                seed=f if seed_children else None)
+            child = sub._cut_row(u, cut)
+            child_f = energy.least_sepm(child,
+                                        seed=f if seed_children else None)
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
                 pruned = [other for other in pruned
                           if not all(map(frozenset.issubset, other, arcs))]
                 pruned.append(arcs)
                 continue
-            pending.append((emit(child_mask, key, child_f, [node_id]), child_f))
+            pending.append((emit(child_mask, key, child_f, [node_id]),
+                            child_f, child))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 
 
@@ -225,7 +227,8 @@ def decompose(arena, nu, lattice, max_listed=None):
     least SEPM meets its one arc at u with equality.  For the root's least
     measure every candidate is a member, so its count is the plain
     product; other blocks keep the candidates whose restricted arena has f
-    as its least SEPM (``delta_membership``).  Counts are always exact;
+    as its least SEPM, certified by its tight arcs without lifting
+    (``delta_membership``).  Counts are always exact;
     listed strategies are truncated at ``max_listed`` (None lists
     everything; a negative cap raises ValueError).
     """

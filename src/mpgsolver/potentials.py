@@ -3,17 +3,19 @@
 Fixing a positional Player-0 strategy turns the arena into a one-player
 graph, whose least SEPM is its least feasible potential pi*: the least
 energy map dominating successor (-) weight along EVERY arc.  Block
-membership computes it with ``energy.least_sepm``.  The oracle and the
-checks use ``least_feasible_potential``, an independent Bellman-Ford
-reference: |V| saturated relaxation sweeps, one more to flag vertices
-still rising, and top propagated back to every vertex that reaches them
-(exactly those from which a negative cycle is reachable).
+membership does not compute it: it certifies that a given finite f is
+pi*, by one pass over the arcs and one reverse search over the tight
+ones.  The oracle and the checks use ``least_feasible_potential``, an
+independent Bellman-Ford reference: |V| saturated relaxation sweeps, one
+more to flag vertices still rising, and top propagated back to every
+vertex that reaches them (exactly those from which a negative cycle is
+reachable).
 """
 
 from __future__ import annotations
 
 from .arena import Arena
-from .energy import EnergyFunction, arena_cap, least_sepm, ominus
+from .energy import EnergyFunction, arena_cap, ominus
 from .errors import InternalError, StrategyError
 
 
@@ -52,12 +54,8 @@ class PositionalStrategy:
         return "PositionalStrategy(%r)" % (self.choice,)
 
 
-def restrict(arena, strategy):
-    """The arena keeping only the strategy's arcs at Player-0 vertices.
-
-    Raises StrategyError unless the strategy has one entry per vertex, one
-    of its own arcs at each Player-0 vertex and None at each Player-1 one.
-    """
+def _strategy_rows(arena, strategy):
+    """The out rows of G_sigma, checking the strategy as ``restrict`` says."""
     if len(strategy.choice) != arena.n:
         raise StrategyError("strategy has %d entries for %d vertices"
                             % (len(strategy.choice), arena.n))
@@ -74,7 +72,17 @@ def restrict(arena, strategy):
                 raise StrategyError("strategy needs an arc at %s"
                                     % arena.names[u])
         out.append(row)
-    return Arena._from_rows(arena.names, arena.owner, out, arena.scale,
+    return out
+
+
+def restrict(arena, strategy):
+    """The arena keeping only the strategy's arcs at Player-0 vertices.
+
+    Raises StrategyError unless the strategy has one entry per vertex, one
+    of its own arcs at each Player-0 vertex and None at each Player-1 one.
+    """
+    return Arena._from_rows(arena.names, arena.owner,
+                            _strategy_rows(arena, strategy), arena.scale,
                             arena.W)
 
 
@@ -143,9 +151,46 @@ def is_conservative(graph):
 
 
 def delta_membership(arena, f, strategy):
-    """Is f the least SEPM of the strategy-restricted arena?
+    """Is f the least SEPM of G_sigma, the strategy-restricted arena?
 
-    ``arena`` must already be reweighted.  Player 0 has no choice left
-    there, so this least SEPM is the strategy's least feasible potential.
+    ``arena`` must already be reweighted.  The strategy is checked as
+    ``restrict`` checks it, at every row, before any answer.  f must be
+    finite everywhere, as every energy-lattice element is (ValueError
+    otherwise).
+
+    Certificate: f is the least SEPM of G_sigma iff f is an SEPM of
+    G_sigma along every arc and every vertex reaches a vertex with f = 0
+    by tight arcs of G_sigma, those with f(v) (-) w = f(u).
+      If: the least SEPM g is at most f, so g = f at the zeros, and along
+    a tight arc (u, v) with g(v) = f(v), g(u) >= g(v) (-) w = f(u).  So
+    g = f back along the tight arcs, at every vertex.
+      Only if: the unreached vertices U are all positive, and lowering f
+    by 1 on U gives a smaller SEPM.  An arc from u in U to v outside U is
+    not tight, so f(u) - 1 >= f(v) (-) w; an arc inside U has
+    (f(v) - 1) (-) w = max(0, f(v) (-) w - 1) <= f(u) - 1; and an arc out
+    of a vertex outside U sees no larger value at its head.
     """
-    return least_sepm(restrict(arena, strategy)) == f
+    rows = _strategy_rows(arena, strategy)
+    if not f.all_finite():
+        raise ValueError("energy lattice elements are finite everywhere")
+    if f.cap != arena_cap(arena):
+        return False
+    vals = f.values
+    # With f finite, f(v) (-) w exceeds f(u) iff f(v) - w does, and for a
+    # positive f(u) the arc is tight iff f(v) - w = f(u).
+    tight_preds = [[] for _ in vals]
+    for u, row in enumerate(rows):
+        for v, w in row:
+            lifted = vals[v] - w
+            if lifted > vals[u]:
+                return False
+            if lifted == vals[u]:
+                tight_preds[v].append(u)
+    reached = [x == 0 for x in vals]
+    stack = [v for v, zero in enumerate(reached) if zero]
+    while stack:
+        for u in tight_preds[stack.pop()]:
+            if not reached[u]:
+                reached[u] = True
+                stack.append(u)
+    return all(reached)

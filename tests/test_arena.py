@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,31 @@ def test_parse_rejects_non_utf8_at_first_bad_byte(data, line, column):
 def test_parse_breaks_lines_at_lf_only():
     a = parse_arena("v a 0\r\n# note\u2028e a a 5\r\ne a a 1\r\n")
     assert a.out == (((0, 1),),)
+
+
+def test_parse_separates_fields_by_spaces_and_tabs():
+    plain = parse_arena("v a 0\ne a a 5\n")
+    for text in ["\tv\ta  0 \t\r\n  # note\u3000x\r\n e a a 5 \r\n",
+                 "v a 0\r\ne a a 5\r"]:
+        assert parse_arena(text) == plain
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("v\u3000a 0\ne a a 5\n", 1, 1),      # ideographic space
+    ("v a\xa0 0\ne a a 5\n", 1, 3),        # no-break space
+    ("v a 0\ne a a\x0c5\x85\n", 2, 1),     # form feed, next line
+    ("v a 0\ne a a 5\x85\n", 2, 7),
+    ("v a 0\ne a a 5\x0b\n", 2, 7),        # vertical tab
+    ("v a 0\ne a\x1c a 5\n", 2, 3),        # file separator
+    ("v a 0\ne a a\x1f5\n", 2, 1),         # unit separator
+    ("v a 0\n\x0c\ne a a 5\n", 2, 1),      # a form feed is no blank line
+    ("v a 0\r\r\ne a a 5\n", 1, 5),        # one CR ends a line, not two
+    ("v a 0\ne a a 5\u2028\n", 2, 7),
+])
+def test_parse_rejects_other_whitespace(text, line, column):
+    with pytest.raises(ArenaFormatError) as err:
+        parse_arena(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_parse_accepts_bytes_and_comments(gamma_ex):
@@ -242,6 +268,31 @@ def assert_same_as_checked(derived, restricted=None):
     for slot in ("names", "owner", "out", "ins", "index", "scale"):
         assert getattr(derived, slot) == getattr(checked, slot), slot
     assert derived.W == (checked if restricted is None else restricted).W
+
+
+def test_cut_row_matches_checked_construction():
+    # The lattice's children cut one Player-0 row of a subgame, itself cut
+    # before: each cut is the checked arena with the game's W, and shares
+    # every row the cut leaves alone.
+    cuts = 0
+    for seed in range(8):
+        a = reweight(gen_random_arena(6, 3, 4, seed), Fraction(1, 3))
+        for parent in [a] + [a._cut_row(u, [a.out[u][0][0]])
+                             for u in a.vertices_of(0)]:
+            for u in parent.vertices_of(0):
+                dsts = [v for v, _ in parent.out[u]]
+                for size in range(1, len(dsts)):
+                    for kept in itertools.combinations(dsts, size):
+                        child = parent._cut_row(u, kept)
+                        assert_same_as_checked(child, a)
+                        assert [v for v, _ in child.out[u]] == list(kept)
+                        for v in range(a.n):
+                            assert v == u or child.out[v] is parent.out[v]
+                            cut = v in dsts and v not in kept
+                            assert cut or child.ins[v] is parent.ins[v]
+                        assert child.index is parent.index
+                        cuts += 1
+    assert cuts > 100
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from mpgsolver import energy, lattice as lattice_mod, potentials
+from mpgsolver import energy, lattice as lattice_mod
 from mpgsolver import values as values_mod
 from mpgsolver.cli import main
 from mpgsolver.errors import InternalError
@@ -336,8 +336,8 @@ def count_least_sepm(monkeypatch, *inner):
         calls["inside" if depth[0] else "outside"] += 1
         return real(*args, **kwargs)
 
+    # every package module calls least_sepm through ``energy``
     monkeypatch.setattr(energy, "least_sepm", counting)
-    monkeypatch.setattr(potentials, "least_sepm", counting)
     return calls
 
 

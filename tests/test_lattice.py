@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpgsolver import lattice
+from mpgsolver import arena as arena_module, lattice
 from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
                        apply_mask, compatible_arcs, decompose,
                        enumerate_lattice, incompatible_arcs,
@@ -120,24 +120,25 @@ def test_seeded_equals_unseeded(gamma_d):
 @pytest.mark.parametrize("seed_children", [True, False])
 def test_enumerate_lifts_no_child_inside_a_pruned_one(gamma_d, monkeypatch,
                                                       seed_children):
-    # Spy on the children enumerate_lattice builds and lifts: no mask is
-    # lifted twice, and none lies inside a child already found pruned.
-    masks = {}  # id(child arena) -> (mask, child); holding it keeps ids unique
-    lifted = []  # (mask, least SEPM) of each lifted child, in order
-    real_apply, real_lift = lattice.apply_mask, lattice.energy.least_sepm
+    # Spy on the arenas enumerate_lattice lifts: the first is the root, the
+    # others its children, whose masks are their Player-0 rows.  No mask is
+    # lifted twice, none lies inside a child already found pruned, and no
+    # child is rebuilt through apply_mask.
+    lifted = []  # (Player-0 rows, least SEPM) of each lifted arena, in order
+    masked = []
+    real_apply, real_lift = arena_module.apply_mask, lattice.energy.least_sepm
 
     def spy_apply(arena, mask):
-        child = real_apply(arena, mask)
-        masks[id(child)] = (mask, child)
-        return child
+        masked.append(mask)
+        return real_apply(arena, mask)
 
     def spy_lift(arena, **kwargs):
         f = real_lift(arena, **kwargs)
-        if id(arena) in masks:
-            lifted.append((masks[id(arena)][0], f))
+        lifted.append(({u: tuple(v for v, _ in arena.out[u])
+                        for u in arena.vertices_of(0)}, f))
         return f
 
-    monkeypatch.setattr(lattice, "apply_mask", spy_apply)
+    monkeypatch.setattr(arena_module, "apply_mask", spy_apply)
     monkeypatch.setattr(lattice.energy, "least_sepm", spy_lift)
     a = gen_random_arena(24, 3, 1, 2)
     games = [(gamma_d, Fraction(0))] + [
@@ -146,19 +147,21 @@ def test_enumerate_lifts_no_child_inside_a_pruned_one(gamma_d, monkeypatch,
     for arena, nu in games:
         lifted.clear()
         x, b = enumerate_lattice(arena, nu, seed_children=seed_children)
-        assert len(lifted) == len(b) - 1 + sum(
-            not f.all_finite() for _, f in lifted)
-        keys = [mask.key() for mask, _ in lifted]
+        children = lifted[1:]
+        assert len(children) == len(b) - 1 + sum(
+            not f.all_finite() for _, f in children)
+        keys = [tuple(sorted(mask.items())) for mask, _ in children]
         assert len(set(keys)) == len(keys)
+        assert set(keys) >= {node.mask.key() for node in b.nodes[1:]}
         pruned = []
-        for mask, f in lifted:
+        for mask, f in children:
             for other in pruned:
-                assert not all(set(mask.retained[u]) <= set(other.retained[u])
-                               for u in mask.retained)
+                assert not all(set(mask[u]) <= set(other[u]) for u in mask)
             if not f.all_finite():
                 pruned.append(mask)
         pruned_total += len(pruned)
     assert pruned_total > 0
+    assert masked == [] and not hasattr(lattice, "apply_mask")
 
 
 def test_phi_onto_and_antitone(gamma_d):

@@ -1,11 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from mpgsolver import (Arena, EnergyFunction, StrategyError, arena_cap,
-                       delta_membership, ergodic_partition, is_conservative,
-                       is_sepm, least_feasible_potential, least_sepm,
-                       restrict, reweight, solve_values)
+                       compatible_arcs, delta_membership, enumerate_lattice,
+                       ergodic_partition, is_conservative, is_sepm,
+                       least_feasible_potential, least_sepm, restrict,
+                       reweight, solve_values)
 from mpgsolver.energy import ominus
 from mpgsolver.oracle import all_strategies, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
@@ -54,7 +56,8 @@ def test_restrict_rejects_missing_arc(rw_ex):
         restrict(rw_ex, bogus)
 
 
-def test_restrict_rejects_each_bad_choice(rw_ex):
+def bad_choices(rw_ex):
+    """(choice, StrategyError message) for each way a strategy is bad."""
     idx = rw_ex.index
     good = ex_strategy(rw_ex, "F").choice
     no_arc = list(good)
@@ -63,16 +66,43 @@ def test_restrict_rejects_each_bad_choice(rw_ex):
     unset[idx["E"]] = None
     p1_choice = list(good)
     p1_choice[idx["A"]] = idx["B"]
-    cases = [(no_arc, "strategy needs an arc at B"),
-             (unset, "strategy needs an arc at E"),
-             (p1_choice, "strategy assigns a Player-1 vertex A"),
-             (good[:-1], "strategy has 6 entries for 7 vertices"),
-             (good + (None,), "strategy has 8 entries for 7 vertices"),
-             (good + (idx["A"],), "strategy has 8 entries for 7 vertices")]
-    for choice, message in cases:
+    return [(no_arc, "strategy needs an arc at B"),
+            (unset, "strategy needs an arc at E"),
+            (p1_choice, "strategy assigns a Player-1 vertex A"),
+            (good[:-1], "strategy has 6 entries for 7 vertices"),
+            (good + (None,), "strategy has 8 entries for 7 vertices"),
+            (good + (idx["A"],), "strategy has 8 entries for 7 vertices")]
+
+
+def test_restrict_rejects_each_bad_choice(rw_ex):
+    for choice, message in bad_choices(rw_ex):
         with pytest.raises(StrategyError, match=message):
             restrict(rw_ex, PositionalStrategy(choice))
     restrict(rw_ex, ex_strategy(rw_ex, "F"))
+
+
+def test_delta_membership_rejects_each_bad_choice(rw_ex):
+    f1 = EnergyFunction(F1, arena_cap(rw_ex))
+    idx = rw_ex.index
+    # E -> C breaks the SEPM condition of F1 at E (f(C) - w = 7 > 3),
+    # before the missing arc at G is reached: the strategy is still wrong.
+    early = list(ex_strategy(rw_ex, "C").choice)
+    assert f1.values[idx["C"]] - dict(rw_ex.out[idx["E"]])[idx["C"]] > 3
+    assert not delta_membership(rw_ex, f1, PositionalStrategy(early))
+    early[idx["G"]] = None
+    cases = bad_choices(rw_ex) + [
+        (tuple(early), "strategy needs an arc at G")]
+    for choice, message in cases:
+        with pytest.raises(StrategyError, match=message):
+            delta_membership(rw_ex, f1, PositionalStrategy(choice))
+    assert delta_membership(rw_ex, f1, ex_strategy(rw_ex, "F"))
+
+
+def test_delta_membership_rejects_a_top_entry(rw_ex):
+    cap = arena_cap(rw_ex)
+    with_top = EnergyFunction(F1[:-1] + (cap + 1,), cap)
+    with pytest.raises(ValueError, match="finite"):
+        delta_membership(rw_ex, with_top, ex_strategy(rw_ex, "F"))
 
 
 def test_least_feasible_potential_f1_f2(rw_ex):
@@ -112,6 +142,38 @@ def test_delta_membership(rw_ex):
     s = ex_strategy(rw_ex, "C")
     pi = least_feasible_potential(restrict(rw_ex, s))
     assert delta_membership(rw_ex, pi, s)
+
+
+# The enumerate benchmark's generated games, as gen_random_arena arguments.
+ENUMERATE_BENCH_GAMES = ((24, 3, 1, 2), (16, 3, 2, 5), (20, 3, 2, 9))
+
+
+def test_delta_membership_certificate_matches_lifting(gamma_d):
+    # Every lattice element against every f-compatible candidate, members
+    # or not, on the 200-arena corpus and the enumerate benchmark's games:
+    # the tight-arc certificate answers as lifting and Bellman-Ford do.
+    arenas = [gen_random_arena(6, 3, 4, seed) for seed in range(200)]
+    arenas += [gen_random_arena(*spec) for spec in ENUMERATE_BENCH_GAMES]
+    games = [(gamma_d, Fraction(0))] + [
+        (cls.subgame, cls.nu)
+        for a in arenas for cls in ergodic_partition(a, solve_values(a))]
+    members = outsiders = 0
+    for sub, nu in games:
+        scaled = reweight(sub, nu)
+        p0 = scaled.vertices_of(0)
+        x, _ = enumerate_lattice(sub, nu)
+        for f in x:
+            pools = [[v for _, v in compatible_arcs(scaled, f, u)]
+                     for u in p0]
+            for picks in itertools.product(*pools):
+                s = PositionalStrategy.from_dict(scaled, dict(zip(p0, picks)))
+                graph = restrict(scaled, s)
+                member = delta_membership(scaled, f, s)
+                assert member == (least_sepm(graph) == f)
+                assert member == (least_feasible_potential(graph) == f)
+                members += member
+                outsiders += not member
+    assert members > 0 and outsiders > 0
 
 
 def test_potential_is_least_and_feasible():
