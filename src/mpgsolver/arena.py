@@ -102,19 +102,19 @@ class Arena:
 
     def _cut_row(self, u, dsts):
         """Unchecked subgame keeping only the arcs from ``u`` to ``dsts``,
-        a nonempty subset of u's destinations.  It shares every other
-        ``out`` row, every ``ins`` row the cut leaves alone, ``names``,
+        a nonempty subset of u's destinations, tested by ``in`` as given
+        (the lattice passes a frozenset).  It shares every other ``out``
+        row, every ``ins`` row the cut leaves alone, ``names``,
         ``owner``, ``index``, ``scale`` and ``W`` with this arena."""
-        keep = set(dsts)
         arena = Arena.__new__(Arena)
         for slot in ("names", "owner", "index", "scale", "W"):
             setattr(arena, slot, getattr(self, slot))
         out = list(self.out)
-        out[u] = tuple((v, w) for v, w in out[u] if v in keep)
+        out[u] = tuple((v, w) for v, w in out[u] if v in dsts)
         arena.out = tuple(out)
         ins = list(self.ins)
         for v, _ in self.out[u]:
-            if v not in keep:
+            if v not in dsts:
                 ins[v] = tuple(arc for arc in ins[v] if arc[0] != u)
         arena.ins = tuple(ins)
         return arena
@@ -187,8 +187,9 @@ class SubgameMask:
         return SubgameMask(retained)
 
     def key(self):
-        """Canonical hashable form, the store index of the subgame."""
-        return tuple(sorted((u, tuple(d)) for u, d in self.retained.items()))
+        """Canonical hashable form; equal keys mean equal subgames."""
+        return tuple(sorted((u, tuple(sorted(set(d))))
+                            for u, d in self.retained.items()))
 
     def __eq__(self, other):
         if not isinstance(other, SubgameMask):

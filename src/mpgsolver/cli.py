@@ -199,6 +199,9 @@ def cmd_ttpg(args):
 
 
 def cmd_verify(args):
+    if not args.file and not args.random:
+        print("error: give an arena file or --random", file=sys.stderr)
+        return 2
     jobs = [(args.file, _load(args.file))] if args.file else []
     if args.random:
         n, max_out, w_max, seed, count = args.random
@@ -209,9 +212,6 @@ def cmd_verify(args):
         jobs += [("random-%d" % (seed + i),
                   oracle.gen_random_arena(n, max_out, w_max, seed + i))
                  for i in range(count)]
-    if not jobs:
-        print("error: give an arena file or --random", file=sys.stderr)
-        return 2
     failed = 0
     skipped = 0
     for tag, arena in jobs:

@@ -122,7 +122,7 @@ def least_sepm(arena, seed=None, lift_counter=None):
     ``seed`` must lie pointwise below the true least SEPM (a parent
     subgame's least SEPM qualifies, since dropping Player-0 arcs can only
     raise the fixpoint); by default iteration starts from all-zero.  A
-    seed from another game (its cap is not this arena's) raises
+    seed from another game (its cap or length is not this arena's) raises
     InternalError.  The FIFO worklist starts with the violated vertices in
     declaration order.  After u is lifted to ``target``, every predecessor
     p of u that is not queued and has ``f[p] < target (-) w(p, u)`` is
@@ -146,9 +146,10 @@ def least_sepm(arena, seed=None, lift_counter=None):
     if seed is None:
         f = [0] * n
     else:
-        if seed.cap != cap:
-            raise InternalError("seed cap %d != cap %d" % (seed.cap, cap))
         f = list(seed.values)
+        if seed.cap != cap or len(f) != n:
+            raise InternalError("seed (%d, cap %d) is from another game "
+                                "(%d, cap %d)" % (len(f), seed.cap, n, cap))
     drops = [max(0, -min(w for _, w in row)) for row in arena.out]
     limit = min(cap, sum(drops) - min(drops))  # B: all drops but the least
     queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]

@@ -138,10 +138,10 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     sepms = []
     sepm_ids = {}  # measure values -> sepm id
     nodes = []
-    node_ids = {}  # mask key -> node id
-    # Retained arcs of the pruned children, one frozenset per p0 vertex;
-    # an antichain under inclusion, as a contained entry adds nothing.
-    pruned = []
+    # A subgame's key is the frozenset each p0 vertex keeps, in p0 order;
+    # it indexes nodes and pruned children.  Only nodes get a mask.
+    node_ids = {}  # key -> node id
+    pruned = []  # keys of pruned children, an antichain under inclusion
 
     def emit(mask, key, f, parent_ids):
         if key in node_ids:
@@ -162,36 +162,34 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     # Explicit stack mirroring the recursion: children are pushed in
     # declaration order and expanded last-first, each with its subgame.
     root = SubgameMask.full(scaled)
-    pending = [(emit(root, root.key(), root_f, []), root_f, scaled)]
+    root_key = tuple(frozenset(root.retained[u]) for u in p0)
+    pending = [(emit(root, root_key, root_f, []), root_key, root_f, scaled)]
     while pending:
-        node_id, f, sub = pending.pop()
-        mask = nodes[node_id].mask
-        for u in p0:
+        node_id, key, f, sub = pending.pop()
+        for i, u in enumerate(p0):
             cut = [v for _, v in incompatible_arcs(sub, f, u)]
             if not cut:
                 continue
-            child_mask = mask.with_restriction(u, cut)
-            key = child_mask.key()
-            known = node_ids.get(key)
+            kept = key[:i] + (frozenset(cut),) + key[i + 1:]  # child's key
+            known = node_ids.get(kept)
             if known is not None:
-                parents = nodes[known].parent_ids
-                if node_id not in parents:
-                    parents.append(node_id)
+                # expanded once, and its children's keys differ pairwise
+                nodes[known].parent_ids.append(node_id)
                 continue
-            arcs = [frozenset(child_mask.retained[v]) for v in p0]
-            if any(all(map(frozenset.issubset, arcs, other))
+            if any(all(map(frozenset.issubset, kept, other))
                    for other in pruned):
                 continue  # inside a pruned subgame: pruned too
-            child = sub._cut_row(u, cut)
+            child = sub._cut_row(u, kept[i])
             child_f = energy.least_sepm(child,
                                         seed=f if seed_children else None)
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
                 pruned = [other for other in pruned
-                          if not all(map(frozenset.issubset, other, arcs))]
-                pruned.append(arcs)
+                          if not all(map(frozenset.issubset, other, kept))]
+                pruned.append(kept)
                 continue
-            pending.append((emit(child_mask, key, child_f, [node_id]),
+            mask = nodes[node_id].mask.with_restriction(u, cut)
+            pending.append((emit(mask, kept, child_f, [node_id]), kept,
                             child_f, child))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 

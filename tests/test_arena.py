@@ -209,6 +209,13 @@ def test_apply_mask_ignores_repeated_destinations(gamma_d):
             == apply_mask(gamma_d, full.with_restriction(t, [u4])))
     assert (apply_mask(gamma_d, full.with_restriction(t, [v4, u4, v4]))
             == gamma_d)
+    # equal subgames, equal masks: equality and hash ignore repeats
+    for repeated, plain in [(full.with_restriction(t, [u4, u4]),
+                             full.with_restriction(t, [u4])),
+                            (full.with_restriction(t, [v4, u4, v4]), full)]:
+        assert repeated == plain
+        assert hash(repeated) == hash(plain)
+        assert repeated.key() == plain.key()
 
 
 def test_mask_monotone_means_arc_subset(gamma_d):

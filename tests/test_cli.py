@@ -220,6 +220,12 @@ def test_verify_without_input_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_zero_random_arenas(capsys):
+    code, out, err = run_cli(capsys, "verify", "--random", "5", "2", "3",
+                             "11", "0")
+    assert (code, out, err) == (0, "verified 0 arena(s), 0 failure(s)\n", "")
+
+
 def test_verify_oracle_bound_skips(capsys, data_dir):
     code, out, _ = run_cli(capsys, "verify", str(data_dir / "gamma_d.mpg"),
                            "--max-strategies", "2")

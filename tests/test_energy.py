@@ -263,6 +263,15 @@ def test_seed_from_another_game_raises():
     b = Arena(["x", "y"], [0, 1], [(0, 1, 2), (1, 0, -1)])
     with pytest.raises(InternalError):
         least_sepm(b, seed=least_sepm(a))
+    # equal caps, (3 - 1) * 2 == (5 - 1) * 1, but unequal lengths
+    small = Arena(["x", "y", "z"], [0, 1, 0],
+                  [(0, 1, 2), (1, 2, -1), (2, 0, 1)])
+    large = Arena(["a", "b", "c", "d", "e"], [0, 1, 0, 1, 0],
+                  [(0, 1, 1), (1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 0, 1)])
+    assert arena_cap(small) == arena_cap(large) == 4
+    for arena, other in [(small, large), (large, small)]:
+        with pytest.raises(InternalError):
+            least_sepm(arena, seed=least_sepm(other))
 
 
 def test_pointwise_le_requires_same_cap():

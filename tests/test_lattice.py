@@ -6,7 +6,7 @@ import pytest
 
 from mpgsolver import arena as arena_module, lattice
 from mpgsolver import (Arena, EnergyFunction, NotNuValuedError,
-                       apply_mask, compatible_arcs, decompose,
+                       SubgameMask, apply_mask, compatible_arcs, decompose,
                        enumerate_lattice, incompatible_arcs,
                        least_feasible_potential, least_sepm, ominus,
                        restrict, reweight)
@@ -115,6 +115,39 @@ def test_seeded_equals_unseeded(gamma_d):
     x2, b2 = enumerate_lattice(gamma_d, Fraction(0), seed_children=False)
     assert [f.values for f in x1] == [f.values for f in x2]
     assert [n.mask.key() for n in b1.nodes] == [n.mask.key() for n in b2.nodes]
+
+
+@pytest.mark.parametrize("seed_children", [True, False])
+def test_enumerate_keys_children_without_masks(gamma_d, monkeypatch,
+                                               seed_children):
+    # Children are indexed and pruned by their tuple of kept-destination
+    # sets: no mask key is formed, a mask is built only for an emitted
+    # node, and a node links each of its discoverers once.
+    a = gen_random_arena(24, 3, 1, 2)
+    games = [(gamma_d, Fraction(0))] + [
+        (cls.subgame, cls.nu) for cls in ergodic_partition(a, solve_values(a))]
+    calls = {"key": 0, "with_restriction": 0}
+    real_key, real_restrict = SubgameMask.key, SubgameMask.with_restriction
+
+    def spy_key(mask):
+        calls["key"] += 1
+        return real_key(mask)
+
+    def spy_restrict(mask, u, dsts):
+        calls["with_restriction"] += 1
+        return real_restrict(mask, u, dsts)
+
+    monkeypatch.setattr(SubgameMask, "key", spy_key)
+    monkeypatch.setattr(SubgameMask, "with_restriction", spy_restrict)
+    shared = 0
+    for arena, nu in games:
+        calls.update(key=0, with_restriction=0)
+        _, b = enumerate_lattice(arena, nu, seed_children=seed_children)
+        assert calls == {"key": 0, "with_restriction": len(b) - 1}
+        for node in b.nodes:
+            assert len(set(node.parent_ids)) == len(node.parent_ids)
+            shared += len(node.parent_ids) > 1
+    assert shared  # the link check has nodes with several parents
 
 
 @pytest.mark.parametrize("seed_children", [True, False])
