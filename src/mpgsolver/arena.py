@@ -19,14 +19,14 @@ serialization writes one header comment, all ``v`` lines in declaration
 order, then ``e`` lines sorted by (src, dst) declaration index;
 parse/serialize round-trips bit-exactly.
 
-This module builds every arena.  Input is checked once, where it enters,
-in the pass that builds from it: ``parse_arena`` and ``Arena(...)`` check
-ids, owners, arcs and dead ends, and ``apply_mask`` checks a mask as it
-filters the rows (``potentials.restrict`` checks a strategy likewise).
-Derived arenas (reweightings, masked subgames, strategy restrictions,
-value-class subgames) are built from checked rows by ``Arena._from_rows``;
-the lattice's children, which differ from their parent in one row, by
-``Arena._cut_row``, which shares every other row.
+This module builds every arena.  Input is checked once, where it enters:
+``parse_arena`` and ``Arena(...)`` check ids, owners, arcs and dead ends,
+``apply_mask`` checks a mask and ``potentials.restrict`` a strategy.
+Reweightings and value-class subgames are built from checked rows by
+``Arena._from_rows``, and take W from those rows.  Every Player-0
+restriction (masked subgames, strategy restrictions, the lattice's
+children) is cut from its game by ``Arena._keep``, which keeps the game's
+W and shares every row the cut leaves alone.
 """
 
 from __future__ import annotations
@@ -51,16 +51,15 @@ class Arena:
     energy levels computed on this arena are expressed in scaled units.
     ``W`` is the game's weight bound, which sets its energy cap: the
     largest |weight| of its rows, kept by Player-0 restrictions
-    (``apply_mask``, ``potentials.restrict``) so that a subgame's
-    measures compare with its game's.
+    (``_keep``) so that a subgame's measures compare with its game's.
 
     The constructor checks its input.  Parsed and derived arenas come from
-    ``_from_rows``, which trusts rows that were already checked.
+    ``_from_rows`` or ``_keep``, which trust input already checked.
     """
 
     __slots__ = ("names", "owner", "out", "scale", "index", "ins", "W")
 
-    def __init__(self, names, owners, arcs, scale=1):
+    def __init__(self, names, owners, arcs):
         names = tuple(names)
         owners = tuple(owners)
         if not names:
@@ -89,37 +88,17 @@ class Arena:
             if not out[u]:
                 raise ArenaFormatError("vertex %s has no outgoing arc" % names[u])
             out[u].sort()
-        self._fill(names, owners, out, scale)
+        self._fill(names, owners, out, 1)
 
     @classmethod
-    def _from_rows(cls, names, owners, out, scale, W=None):
+    def _from_rows(cls, names, owners, out, scale):
         """Unchecked arena; each ``out[u]`` must be a nonempty sequence of
-        in-range ``(dst, weight)`` pairs sorted by destination index.
-        ``W`` defaults to the rows' own largest |weight|."""
+        in-range ``(dst, weight)`` pairs sorted by destination index."""
         arena = cls.__new__(cls)
-        arena._fill(names, owners, out, scale, W)
+        arena._fill(names, owners, out, scale)
         return arena
 
-    def _cut_row(self, u, dsts):
-        """Unchecked subgame keeping only the arcs from ``u`` to ``dsts``,
-        a nonempty subset of u's destinations, tested by ``in`` as given
-        (the lattice passes a frozenset).  It shares every other ``out``
-        row, every ``ins`` row the cut leaves alone, ``names``,
-        ``owner``, ``index``, ``scale`` and ``W`` with this arena."""
-        arena = Arena.__new__(Arena)
-        for slot in ("names", "owner", "index", "scale", "W"):
-            setattr(arena, slot, getattr(self, slot))
-        out = list(self.out)
-        out[u] = tuple((v, w) for v, w in out[u] if v in dsts)
-        arena.out = tuple(out)
-        ins = list(self.ins)
-        for v, _ in self.out[u]:
-            if v not in dsts:
-                ins[v] = tuple(arc for arc in ins[v] if arc[0] != u)
-        arena.ins = tuple(ins)
-        return arena
-
-    def _fill(self, names, owners, out, scale, W=None):
+    def _fill(self, names, owners, out, scale):
         self.names = tuple(names)
         self.owner = tuple(owners)
         self.out = tuple(tuple(row) for row in out)
@@ -129,9 +108,29 @@ class Arena:
                 ins[v].append((u, w))
         self.ins = tuple(tuple(row) for row in ins)
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.W = (max(abs(w) for row in self.out for _, w in row)
-                  if W is None else W)
+        self.W = max(abs(w) for row in self.out for _, w in row)
         self.scale = scale
+
+    def _keep(self, kept):
+        """Unchecked Player-0 restriction: each ``u`` in ``kept`` keeps only
+        its arcs to ``kept[u]``, a nonempty subset of u's destinations,
+        tested by ``in`` as given.  It shares every other ``out`` row,
+        every ``ins`` row the cut leaves alone, ``names``, ``owner``,
+        ``index``, ``scale`` and ``W`` with this arena."""
+        arena = Arena.__new__(Arena)
+        arena.names, arena.owner = self.names, self.owner
+        arena.index, arena.scale, arena.W = self.index, self.scale, self.W
+        out, ins = list(self.out), list(self.ins)
+        for u, dsts in kept.items():
+            row = out[u]
+            kept_row = tuple([arc for arc in row if arc[0] in dsts])
+            if len(kept_row) < len(row):
+                out[u] = kept_row
+                for v, _ in row:
+                    if v not in dsts:
+                        ins[v] = tuple([arc for arc in ins[v] if arc[0] != u])
+        arena.out, arena.ins = tuple(out), tuple(ins)
+        return arena
 
     @property
     def n(self):
@@ -203,6 +202,11 @@ class SubgameMask:
         return "SubgameMask(%r)" % (self.retained,)
 
 
+def _column(line, k):
+    """1-based column of field k (from 0) of a line; errors only."""
+    return [m.start() for m in re.finditer("[^ ]+", line)][k] + 1
+
+
 def parse_arena(text):
     """Parse the line-based arena format; accepts str or UTF-8 bytes.
 
@@ -236,17 +240,18 @@ def parse_arena(text):
         kind = fields[0]
         if kind == "v":
             if len(fields) != 3:
-                raise ArenaFormatError("expected 'v <id> <0|1>'", lineno, 1)
+                raise ArenaFormatError("expected 'v <id> <0|1>'", lineno,
+                                       _column(raw, 0))
             _, name, owner = fields
             if not _ID_RE.match(name):
                 raise ArenaFormatError("invalid id %r" % name, lineno,
-                                       raw.find(name) + 1)
+                                       _column(raw, 1))
             if name in index:
                 raise ArenaFormatError("vertex %r declared twice" % name,
-                                       lineno, raw.find(name) + 1)
+                                       lineno, _column(raw, 1))
             if owner not in ("0", "1"):
                 raise ArenaFormatError("owner must be 0 or 1", lineno,
-                                       raw.find(owner, raw.find(name)) + 1)
+                                       _column(raw, 2))
             index[name] = len(names)
             names.append(name)
             owners.append(int(owner))
@@ -255,23 +260,24 @@ def parse_arena(text):
         elif kind == "e":
             if len(fields) != 4:
                 raise ArenaFormatError("expected 'e <src> <dst> <int>'",
-                                       lineno, 1)
+                                       lineno, _column(raw, 0))
             _, src, dst, weight = fields
             u, v = index.get(src), index.get(dst)
             if u is None or v is None:
-                endpoint = dst if u is not None else src
-                raise ArenaFormatError("unknown vertex %r" % endpoint,
-                                       lineno, raw.find(endpoint) + 1)
+                k = 1 if u is None else 2
+                raise ArenaFormatError("unknown vertex %r" % fields[k],
+                                       lineno, _column(raw, k))
             if not _INT_RE.match(weight):
                 raise ArenaFormatError("weight %r is not an integer" % weight,
-                                       lineno, raw.rfind(weight) + 1)
+                                       lineno, _column(raw, 3))
             row = rows[u]
             if v in row:
                 raise ArenaFormatError("duplicate arc %s -> %s" % (src, dst),
-                                       lineno, 1)
+                                       lineno, _column(raw, 0))
             row[v] = int(weight)
         else:
-            raise ArenaFormatError("unknown statement %r" % kind, lineno, 1)
+            raise ArenaFormatError("unknown statement %r" % kind, lineno,
+                                   _column(raw, 0))
     if not names:
         raise ArenaFormatError("arena declares no vertices")
     for name, row, lineno in zip(names, rows, vertex_lines):
@@ -313,23 +319,17 @@ def apply_mask(arena, mask):
     """
     if mask.retained.keys() != set(arena.vertices_of(0)):
         raise MaskError("mask must cover exactly the Player-0 vertices")
-    out = []
-    for u, row in enumerate(arena.out):
-        if arena.owner[u] == 0:
-            dsts = mask.retained[u]
-            if not dsts:
-                raise MaskError("mask empties out-arcs of %s" % arena.names[u])
-            keep = set(dsts)
-            row = [(v, w) for v, w in row if v in keep]
-            if len(row) != len(keep):
-                have = {v for v, _ in row}
-                v = next(v for v in dsts if v not in have)
+    for u in arena.vertices_of(0):
+        dsts = mask.retained[u]
+        if not dsts:
+            raise MaskError("mask empties out-arcs of %s" % arena.names[u])
+        have = dict(arena.out[u])
+        for v in dsts:
+            if v not in have:
                 raise MaskError("mask keeps missing arc %s -> %s" % (
                     arena.names[u],
                     arena.names[v] if v in range(arena.n) else repr(v)))
-        out.append(row)
-    return Arena._from_rows(arena.names, arena.owner, out, arena.scale,
-                            arena.W)
+    return arena._keep(mask.retained)
 
 
 def to_dot(arena):

@@ -88,20 +88,20 @@ def cmd_solve(args):
     return 0
 
 
-def _enum_class(cls, index, list_cap, fmt, out):
+def _enum_class(cls, index, list_cap, fmt):
     sub, nu = cls.subgame, cls.nu
     if fmt == "text":
-        out.write("class %d: nu = %s\n" % (index, _frac_text(nu)))
+        print("class %d: nu = %s" % (index, _frac_text(nu)))
 
         def on_sepm(sepm_id, f):
-            out.write("  sepm %d: %s\n" % (sepm_id, _sepm_text(sub, f)))
+            print("  sepm %d: %s" % (sepm_id, _sepm_text(sub, f)))
 
         def on_subgame(node):
             removed = node.removed_arcs(sub)
             label = "root" if not removed else "removed " + ",".join(
                 "%s->%s" % (sub.names[u], sub.names[v]) for u, v in removed)
-            out.write("  subgame %d: %s (sepm %d)\n"
-                      % (node.id, label, node.sepm_id))
+            print("  subgame %d: %s (sepm %d)"
+                  % (node.id, label, node.sepm_id))
     else:
         on_sepm = on_subgame = None
     x, b = lattice_mod.enumerate_lattice(sub, nu, on_sepm=on_sepm,
@@ -113,18 +113,18 @@ def _enum_class(cls, index, list_cap, fmt, out):
     degenerate = len(b) > len(x)
     if fmt == "text":
         for block in blocks:
-            out.write("  delta %d: count %d%s\n" % (
+            print("  delta %d: count %d%s" % (
                 block.sepm_id, block.count,
                 " (listing %d)" % len(block.strategies)
                 if block.truncated else ""))
             for s in block.strategies:
                 pairs = ["%s->%s" % (sub.names[u], sub.names[v])
                          for u, v in enumerate(s.choice) if v is not None]
-                out.write("    strategy %s\n" % " ".join(pairs))
+                print("    strategy %s" % " ".join(pairs))
         if degenerate:
-            out.write("  degenerate: |B*| > |X*|\n")
-        out.write("  summary: %d sepms, %d subgames, %d optimal strategies\n"
-                  % (len(x), len(b), total))
+            print("  degenerate: |B*| > |X*|")
+        print("  summary: %d sepms, %d subgames, %d optimal strategies"
+              % (len(x), len(b), total))
         return None
     return {
         "nu": _frac_json(nu),
@@ -153,12 +153,12 @@ def cmd_enum(args):
     partition = values_mod.ergodic_partition(arena, vals)
     if args.format == "json":
         payload = {"classes": [
-            _enum_class(cls, i, args.list_strategies, "json", sys.stdout)
+            _enum_class(cls, i, args.list_strategies, "json")
             for i, cls in enumerate(partition)]}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for i, cls in enumerate(partition):
-            _enum_class(cls, i, args.list_strategies, "text", sys.stdout)
+            _enum_class(cls, i, args.list_strategies, "text")
     return 0
 
 

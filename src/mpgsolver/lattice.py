@@ -15,8 +15,8 @@ incompatible with the current subgame's least progress measure:
      vertex, inside those of a child already pruned; compute the child's
      least measure seeded from f; keep the child only if that measure is
      finite everywhere.  A child is its parent's subgame arena with row u
-     cut (``Arena._cut_row``): it shares every other row, so no subgame
-     is rebuilt from the root;
+     cut, by ``Arena._keep`` as every Player-0 restriction is: it shares
+     every other row, so no subgame is rebuilt from the root;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
@@ -179,7 +179,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
             if any(all(map(frozenset.issubset, kept, other))
                    for other in pruned):
                 continue  # inside a pruned subgame: pruned too
-            child = sub._cut_row(u, kept[i])
+            child = sub._keep({u: kept[i]})
             child_f = energy.least_sepm(child,
                                         seed=f if seed_children else None)
             if not child_f.all_finite():

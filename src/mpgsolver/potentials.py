@@ -14,7 +14,6 @@ reachable).
 
 from __future__ import annotations
 
-from .arena import Arena
 from .energy import EnergyFunction, arena_cap, ominus
 from .errors import InternalError, StrategyError
 
@@ -76,14 +75,14 @@ def _strategy_rows(arena, strategy):
 
 
 def restrict(arena, strategy):
-    """The arena keeping only the strategy's arcs at Player-0 vertices.
+    """The arena with each Player-0 row cut to its pick by ``Arena._keep``.
 
     Raises StrategyError unless the strategy has one entry per vertex, one
     of its own arcs at each Player-0 vertex and None at each Player-1 one.
     """
-    return Arena._from_rows(arena.names, arena.owner,
-                            _strategy_rows(arena, strategy), arena.scale,
-                            arena.W)
+    _strategy_rows(arena, strategy)  # checks: None exactly at Player 1
+    return arena._keep({u: (v,) for u, v in enumerate(strategy.choice)
+                        if v is not None})
 
 
 def least_feasible_potential(graph):
@@ -156,7 +155,7 @@ def delta_membership(arena, f, strategy):
     ``arena`` must already be reweighted.  The strategy is checked as
     ``restrict`` checks it, at every row, before any answer.  f must be
     finite everywhere, as every energy-lattice element is (ValueError
-    otherwise).
+    otherwise); an f of another cap or length gets False.
 
     Certificate: f is the least SEPM of G_sigma iff f is an SEPM of
     G_sigma along every arc and every vertex reaches a vertex with f = 0
@@ -173,7 +172,7 @@ def delta_membership(arena, f, strategy):
     rows = _strategy_rows(arena, strategy)
     if not f.all_finite():
         raise ValueError("energy lattice elements are finite everywhere")
-    if f.cap != arena_cap(arena):
+    if f.cap != arena_cap(arena) or len(f.values) != arena.n:
         return False
     vals = f.values
     # With f finite, f(v) (-) w exceeds f(u) iff f(v) - w does, and for a

@@ -8,7 +8,7 @@ from mpgsolver import (Arena, ArenaFormatError, MaskError, SubgameMask,
                        apply_mask, decompose, enumerate_lattice,
                        ergodic_partition, parse_arena, restrict, reweight,
                        serialize_arena, solve_values, to_dot)
-from mpgsolver.oracle import gen_random_arena
+from mpgsolver.oracle import all_strategies, gen_random_arena
 
 
 def test_parse_gamma_ex(gamma_ex):
@@ -71,6 +71,24 @@ def test_parse_error_reports_position():
         parse_arena("v a 0\ne a a oops\n")
     assert err.value.line == 2
     assert err.value.column == 7
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("v v 0\nv v 0\n", 2, 3),            # the id, not the statement
+    ("v a 0\ne e a 5\n", 2, 3),          # unknown source named "e"
+    ("v a 0\ne a e 5\n", 2, 5),          # unknown destination named "e"
+    ("v 2 2\n", 1, 5),                    # the owner, not the id
+    ("v 0-1 0\n", 1, 3),
+    ("v a 0\ne a a a\n", 2, 7),
+    ("\tv  a 0\ne\ta  b 5 \n", 2, 6),   # after runs of separators
+    ("  w a 0\n", 1, 3),                  # a statement's own faults
+    ("v a 0\n v a\n", 2, 2),
+    ("v a 0\ne a a 1\n\te a a 2\n", 3, 2),
+])
+def test_parse_error_column_is_its_field(text, line, column):
+    with pytest.raises(ArenaFormatError) as err:
+        parse_arena(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 @pytest.mark.parametrize("data,line,column", [
@@ -268,29 +286,44 @@ def assert_same_slots(arena, checked):
 
 
 def assert_same_as_checked(derived, restricted=None):
-    """A derived arena equals the one the checking constructor builds,
-    except that a restriction keeps the W of the arena it restricts."""
-    checked = Arena(derived.names, derived.owner, list(derived.arcs()),
-                    derived.scale)
-    for slot in ("names", "owner", "out", "ins", "index", "scale"):
+    """A derived arena equals the one the checking constructor builds from
+    its arcs, except that a restriction keeps the W of the arena it
+    restricts (the scale is carried, not built)."""
+    checked = Arena(derived.names, derived.owner, list(derived.arcs()))
+    for slot in ("names", "owner", "out", "ins", "index"):
         assert getattr(derived, slot) == getattr(checked, slot), slot
     assert derived.W == (checked if restricted is None else restricted).W
 
 
-def test_cut_row_matches_checked_construction():
+def assert_shares_untouched(restricted, arena):
+    """A Player-0 restriction shares ``index``, every ``out`` row it keeps
+    whole and every ``ins`` row that loses no arc with its arena."""
+    assert restricted.index is arena.index
+    for u in range(arena.n):
+        if restricted.out[u] == arena.out[u]:
+            assert restricted.out[u] is arena.out[u], u
+        if restricted.ins[u] == arena.ins[u]:
+            assert restricted.ins[u] is arena.ins[u], u
+
+
+def test_keep_matches_checked_construction():
     # The lattice's children cut one Player-0 row of a subgame, itself cut
-    # before: each cut is the checked arena with the game's W, and shares
-    # every row the cut leaves alone.
+    # before; masks and strategies cut several at once.  Each cut is the
+    # checked arena with the game's W, and shares every row it leaves
+    # alone.
     cuts = 0
     for seed in range(8):
         a = reweight(gen_random_arena(6, 3, 4, seed), Fraction(1, 3))
-        for parent in [a] + [a._cut_row(u, [a.out[u][0][0]])
-                             for u in a.vertices_of(0)]:
+        p0 = a.vertices_of(0)
+        firsts = a._keep({u: {a.out[u][0][0]} for u in p0})
+        assert_same_as_checked(firsts, a)
+        assert_shares_untouched(firsts, a)
+        for parent in [a] + [a._keep({u: [a.out[u][0][0]]}) for u in p0]:
             for u in parent.vertices_of(0):
                 dsts = [v for v, _ in parent.out[u]]
                 for size in range(1, len(dsts)):
                     for kept in itertools.combinations(dsts, size):
-                        child = parent._cut_row(u, kept)
+                        child = parent._keep({u: kept})
                         assert_same_as_checked(child, a)
                         assert [v for v, _ in child.out[u]] == list(kept)
                         for v in range(a.n):
@@ -300,6 +333,20 @@ def test_cut_row_matches_checked_construction():
                         assert child.index is parent.index
                         cuts += 1
     assert cuts > 100
+
+
+def test_masks_and_strategies_share_untouched_rows(gamma_d):
+    # apply_mask and restrict cut rows as the lattice's children do: the
+    # full mask and every strategy share the rows they leave alone.
+    arenas = [gamma_d] + [gen_random_arena(8, 3, 4, seed)
+                          for seed in range(10)]
+    for a in arenas:
+        full = apply_mask(a, SubgameMask.full(a))
+        assert full == a
+        assert_shares_untouched(full, a)
+        strategies = all_strategies(a)
+        for strategy in itertools.islice(strategies, 0, None, 7):
+            assert_shares_untouched(restrict(a, strategy), a)
 
 
 @pytest.mark.parametrize(

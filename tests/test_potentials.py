@@ -105,6 +105,21 @@ def test_delta_membership_rejects_a_top_entry(rw_ex):
         delta_membership(rw_ex, with_top, ex_strategy(rw_ex, "F"))
 
 
+def test_delta_membership_of_another_games_measure_is_false():
+    # the cycle x -> y -> z -> x has no negative arc, so its least SEPM is
+    # zero everywhere; zeros of another length or cap are not its measures
+    small = Arena(["x", "y", "z"], [0, 1, 0],
+                  [(0, 1, 2), (1, 2, 1), (2, 0, 1)])
+    sigma = PositionalStrategy([1, None, 0])
+    cap = arena_cap(small)
+    assert delta_membership(small, EnergyFunction((0, 0, 0), cap), sigma)
+    for values in [(0, 0, 0, 0), (0, 0)]:
+        assert not delta_membership(small, EnergyFunction(values, cap),
+                                    sigma)
+    assert not delta_membership(small, EnergyFunction((0, 0, 0), cap + 1),
+                                sigma)
+
+
 def test_least_feasible_potential_f1_f2(rw_ex):
     pi1 = least_feasible_potential(restrict(rw_ex, ex_strategy(rw_ex, "F")))
     assert pi1.values == F1
