@@ -255,7 +255,7 @@ def parse_arena(text):
             index[name] = len(names)
             names.append(name)
             owners.append(int(owner))
-            vertex_lines.append(lineno)
+            vertex_lines.append((lineno, raw))
             rows.append({})
         elif kind == "e":
             if len(fields) != 4:
@@ -280,10 +280,10 @@ def parse_arena(text):
                                    _column(raw, 0))
     if not names:
         raise ArenaFormatError("arena declares no vertices")
-    for name, row, lineno in zip(names, rows, vertex_lines):
+    for name, row, (lineno, raw) in zip(names, rows, vertex_lines):
         if not row:
             raise ArenaFormatError("vertex %r has no outgoing arc" % name,
-                                   lineno, 1)
+                                   lineno, _column(raw, 0))
     return Arena._from_rows(names, owners,
                             [sorted(row.items()) for row in rows], 1)
 

@@ -176,7 +176,7 @@ def cmd_ttpg(args):
             return 2
         arena = reweight(arena, vals.vals[0])
     if args.fixpoint:
-        # min_ttpg_fixpoint raises InternalError unless f is least_sepm.
+        # min_ttpg_fixpoint raises InternalError unless the rows reach -f*.
         f, k_reached, _ = ttpg_mod.min_ttpg_fixpoint(arena)
         if args.format == "json":
             print(json.dumps({

@@ -75,8 +75,8 @@ class EnergyFunction:
         return tuple(u for u, x in enumerate(self.values) if x <= self.cap)
 
     def pointwise_le(self, other):
-        if self.cap != other.cap:
-            raise InternalError("comparing energy functions with unequal caps")
+        if self.cap != other.cap or len(self.values) != len(other.values):
+            raise InternalError("comparing energy functions of different games")
         return all(a <= b for a, b in zip(self.values, other.values))
 
     def to_json(self, arena):

@@ -1,15 +1,15 @@
 """Strategy-restricted arenas, block membership, reference potentials.
 
 Fixing a positional Player-0 strategy turns the arena into a one-player
-graph, whose least SEPM is its least feasible potential pi*: the least
-energy map dominating successor (-) weight along EVERY arc.  Block
-membership does not compute it: it certifies that a given finite f is
-pi*, by one pass over the arcs and one reverse search over the tight
-ones.  The oracle and the checks use ``least_feasible_potential``, an
-independent Bellman-Ford reference: |V| saturated relaxation sweeps, one
-more to flag vertices still rising, and top propagated back to every
-vertex that reaches them (exactly those from which a negative cycle is
-reachable).
+graph G_sigma, whose least SEPM is its least feasible potential pi*: the
+least energy map dominating successor (-) weight along EVERY arc.  Only
+``restrict`` builds G_sigma, through ``Arena._keep``; block membership
+reads it in place, certifying that a given finite f is pi* by one pass
+over the arcs and one reverse search over the tight ones.  The oracle and
+the checks use ``least_feasible_potential``, an independent Bellman-Ford
+reference: |V| saturated relaxation sweeps, one more to flag vertices
+still rising, and top propagated back to every vertex that reaches them
+(exactly those from which a negative cycle is reachable).
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ class PositionalStrategy:
     def from_dict(cls, arena, mapping):
         choice = [None] * arena.n
         for u, v in mapping.items():
+            if u not in range(arena.n):
+                raise StrategyError("strategy key %r is no vertex" % (u,))
             choice[u] = v
         return cls(choice)
 
@@ -53,36 +55,32 @@ class PositionalStrategy:
         return "PositionalStrategy(%r)" % (self.choice,)
 
 
-def _strategy_rows(arena, strategy):
-    """The out rows of G_sigma, checking the strategy as ``restrict`` says."""
-    if len(strategy.choice) != arena.n:
+def _picks(arena, strategy):
+    """The strategy's picks, checked as ``restrict`` says; builds nothing."""
+    picks = strategy.choice
+    if len(picks) != arena.n:
         raise StrategyError("strategy has %d entries for %d vertices"
-                            % (len(strategy.choice), arena.n))
-    out = []
+                            % (len(picks), arena.n))
     for u, row in enumerate(arena.out):
-        v = strategy.choice[u]
+        v = picks[u]
         if arena.owner[u] == 1:
             if v is not None:
                 raise StrategyError("strategy assigns a Player-1 vertex %s"
                                     % arena.names[u])
-        else:
-            row = [(d, w) for d, w in row if d == v]
-            if not row:
-                raise StrategyError("strategy needs an arc at %s"
-                                    % arena.names[u])
-        out.append(row)
-    return out
+        elif v not in [d for d, _ in row]:
+            raise StrategyError("strategy needs an arc at %s"
+                                % arena.names[u])
+    return picks
 
 
 def restrict(arena, strategy):
-    """The arena with each Player-0 row cut to its pick by ``Arena._keep``.
+    """G_sigma, each Player-0 row cut to its pick by ``Arena._keep``.
 
     Raises StrategyError unless the strategy has one entry per vertex, one
     of its own arcs at each Player-0 vertex and None at each Player-1 one.
     """
-    _strategy_rows(arena, strategy)  # checks: None exactly at Player 1
-    return arena._keep({u: (v,) for u, v in enumerate(strategy.choice)
-                        if v is not None})
+    picks = _picks(arena, strategy)
+    return arena._keep({u: (v,) for u, v in enumerate(picks) if v is not None})
 
 
 def least_feasible_potential(graph):
@@ -153,7 +151,8 @@ def delta_membership(arena, f, strategy):
     """Is f the least SEPM of G_sigma, the strategy-restricted arena?
 
     ``arena`` must already be reweighted.  The strategy is checked as
-    ``restrict`` checks it, at every row, before any answer.  f must be
+    ``restrict`` checks it, at every row, before any answer; G_sigma is
+    then read from the arena's own rows, no restriction built.  f must be
     finite everywhere, as every energy-lattice element is (ValueError
     otherwise); an f of another cap or length gets False.
 
@@ -169,7 +168,7 @@ def delta_membership(arena, f, strategy):
     (f(v) - 1) (-) w = max(0, f(v) (-) w - 1) <= f(u) - 1; and an arc out
     of a vertex outside U sees no larger value at its head.
     """
-    rows = _strategy_rows(arena, strategy)
+    picks = _picks(arena, strategy)
     if not f.all_finite():
         raise ValueError("energy lattice elements are finite everywhere")
     if f.cap != arena_cap(arena) or len(f.values) != arena.n:
@@ -178,8 +177,11 @@ def delta_membership(arena, f, strategy):
     # With f finite, f(v) (-) w exceeds f(u) iff f(v) - w does, and for a
     # positive f(u) the arc is tight iff f(v) - w = f(u).
     tight_preds = [[] for _ in vals]
-    for u, row in enumerate(rows):
+    for u, row in enumerate(arena.out):
+        pick = picks[u]
         for v, w in row:
+            if pick is not None and v != pick:
+                continue
             lifted = vals[v] - w
             if lifted > vals[u]:
                 return False

@@ -85,18 +85,17 @@ def convergence_horizon(arena, w0_size, w1_size):
 def min_ttpg_fixpoint(arena, keep_history=False):
     """Iterate the min-variant until it matches the least progress measure.
 
-    Returns (f, k_reached, table): ``f`` maps Player-0's energy winning
-    region to the negated stabilized values and the losing region to top;
-    ``k_reached`` is the first k >= 1 whose row is both stationary on the
-    winning region and equal to the negated least measure there.  The
-    iteration is capped at the proven horizon k'; failing to stabilize by
-    then would falsify the convergence theorem and raises InternalError.
-    ``table`` is None unless ``keep_history`` (rolling two-row storage
-    otherwise).
+    Returns (f, k_reached, table): ``f`` is the least progress measure,
+    which maps Player-0's energy winning region to the negated stabilized
+    values and the losing region to top; ``k_reached`` is the first k >= 1
+    whose row is both stationary on the winning region and equal to the
+    negated least measure there.  The iteration is capped at the proven
+    horizon k'; failing to stabilize by then would falsify the convergence
+    theorem and raises InternalError.  ``table`` is None unless
+    ``keep_history`` (rolling two-row storage otherwise).
     """
     fstar = energy.least_sepm(arena)
-    cap = fstar.cap
-    w0 = frozenset(u for u in range(arena.n) if not fstar.is_top(u))
+    w0 = fstar.finite_vertices()
     bound = convergence_horizon(arena, len(w0), arena.n - len(w0))
     prev = [0] * arena.n
     rows = [tuple(prev)] if keep_history else None
@@ -114,13 +113,8 @@ def min_ttpg_fixpoint(arena, keep_history=False):
     if k_reached is None:
         raise InternalError("min-variant did not stabilize to the least "
                             "progress measure within k'=%d" % bound)
-    values = [(-prev[u] if u in w0 else cap + 1) for u in range(arena.n)]
-    f = energy.EnergyFunction(values, cap, arena.scale)
-    if f != fstar:
-        raise InternalError("stabilized min-variant values disagree with "
-                            "the least progress measure")
     table = TruncatedValueTable("min", rows) if keep_history else None
-    return f, k_reached, table
+    return fstar, k_reached, table
 
 
 def audit_min_table(arena, table, fstar=None):
@@ -136,7 +130,7 @@ def audit_min_table(arena, table, fstar=None):
         raise ValueError("audit applies to min-variant tables")
     if fstar is None:
         fstar = energy.least_sepm(arena)
-    w0 = frozenset(u for u in range(arena.n) if not fstar.is_top(u))
+    w0 = frozenset(fstar.finite_vertices())
     w1 = [u for u in range(arena.n) if u not in w0]
     W = arena.W
     band_low = -(len(w0) - 1) * W if w0 else 0

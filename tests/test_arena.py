@@ -84,6 +84,8 @@ def test_parse_error_reports_position():
     ("  w a 0\n", 1, 3),                  # a statement's own faults
     ("v a 0\n v a\n", 2, 2),
     ("v a 0\ne a a 1\n\te a a 2\n", 3, 2),
+    ("  v a 0\n", 1, 3),                 # a dead end: its declaration
+    ("v a 0\n\tv b 1\ne a a 1\n", 2, 2),
 ])
 def test_parse_error_column_is_its_field(text, line, column):
     with pytest.raises(ArenaFormatError) as err:

@@ -279,3 +279,8 @@ def test_pointwise_le_requires_same_cap():
     b = EnergyFunction([0], 4)
     with pytest.raises(Exception):
         a.pointwise_le(b)
+    # the same cap but another length: zip would compare a prefix only
+    short, long = EnergyFunction([0, 0, 0], 4), EnergyFunction([0] * 4, 4)
+    for x, y in [(short, long), (long, short)]:
+        with pytest.raises(InternalError):
+            x.pointwise_le(y)

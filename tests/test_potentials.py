@@ -74,6 +74,15 @@ def bad_choices(rw_ex):
             (good + (idx["A"],), "strategy has 8 entries for 7 vertices")]
 
 
+def test_from_dict_rejects_keys_that_are_not_vertices(gamma_ex):
+    assert gamma_ex.n == 7
+    for key in [-1, 7, 99, "B"]:
+        with pytest.raises(StrategyError, match="is no vertex"):
+            PositionalStrategy.from_dict(gamma_ex, {key: 0})
+    last = PositionalStrategy.from_dict(gamma_ex, {6: 5})
+    assert last.choice == (None,) * 6 + (5,)
+
+
 def test_restrict_rejects_each_bad_choice(rw_ex):
     for choice, message in bad_choices(rw_ex):
         with pytest.raises(StrategyError, match=message):
