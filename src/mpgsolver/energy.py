@@ -20,6 +20,12 @@ worklist complete: lifting u to a value x can only violate a predecessor
 p with f(p) < x (-) w(p,u), so exactly those predecessors are enqueued.
 The least SEPM's finite region is Player 0's winning region in the
 energy game.
+
+A negative self-loop never holds at a finite value, so the lifting
+loop reads it as a top successor instead of climbing it |w| at a time:
+the length-1 case of accelerated lifting (Dorfman, Kaplan & Zwick,
+ICALP 2019), with the proof at ``_lift_target``.  Climbs around longer
+negative cycles still go one lift at a time, so their cost grows with W.
 """
 
 from __future__ import annotations
@@ -101,22 +107,65 @@ class EnergyFunction:
 
 
 def _lift_target(arena, f, cap, u):
-    """Smallest value at u satisfying its progress condition under f."""
-    reqs = (ominus(f[v], w, cap) for v, w in arena.out[u])
-    return min(reqs) if arena.owner[u] == 0 else max(reqs)
+    """Smallest value at u satisfying its progress condition under f.
+
+    One plain pass over u's arcs.  The clamp to [0, cap] and top is
+    monotone, so it is taken once, of the min (Player 0) or the max
+    (Player 1) of f(v) - w: a top successor is skipped by Player 0 and
+    sends a Player-1 vertex to top.
+
+    Self-loop rule: a negative self-loop (u, u, w) counts as a top
+    successor.  At a finite f(u) it asks f(u) >= f(u) + |w|, which no
+    finite value meets, so the plain operator T would only climb u by
+    |w| per lift.  The operator T' of this rule is monotone and T' >= T,
+    so lfp(T') >= lfp(T).  And lfp(T) = f* is a pre-fixpoint of T': at a
+    finite f*(u), T(f*)(u) <= f*(u) is met by an arc that is not a
+    negative self-loop, so T'(f*)(u) = T(f*)(u) at a Player-0 u, and a
+    Player-1 u has no negative self-loop at all; at a top f*(u) there is
+    nothing to show.  So lfp(T') <= f*, and both least fixpoints are f*.
+    The rule changes no progress condition either: f(u) >= T'(f)(u) iff
+    f(u) >= T(f)(u).
+    """
+    top = cap + 1
+    if arena.owner[u] == 0:
+        best = top
+        for v, w in arena.out[u]:
+            x = f[v]
+            if x < top and (v != u or w >= 0):
+                x -= w
+                if x < best:
+                    best = x
+    else:
+        best = 0
+        for v, w in arena.out[u]:
+            x = f[v]
+            if x == top or (v == u and w < 0):
+                return top
+            x -= w
+            if x > best:
+                best = x
+    if best <= 0:
+        return 0
+    return best if best <= cap else top
 
 
 def is_sepm(arena, f):
-    """Check the progress condition at every vertex."""
+    """Check the progress condition at every vertex.
+
+    A measure of another game (its cap or length is not this arena's) is
+    not an SEPM of this one: False.
+    """
     cap = f.cap
     vals = f.values
+    if cap != arena_cap(arena) or len(vals) != arena.n:
+        return False
     for u in range(arena.n):
         if vals[u] < _lift_target(arena, vals, cap, u):
             return False
     return True
 
 
-def least_sepm(arena, seed=None, lift_counter=None):
+def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     """Pointwise-least SEPM by worklist value iteration.
 
     ``seed`` must lie pointwise below the true least SEPM (a parent
@@ -128,20 +177,28 @@ def least_sepm(arena, seed=None, lift_counter=None):
     p of u that is not queued and has ``f[p] < target (-) w(p, u)`` is
     enqueued; this covers u's own self-loop too.  A popped vertex is lifted
     only if it is still violated, since a Player-0 vertex may be satisfied
-    by another arc.
+    by another arc.  Lift targets follow the self-loop rule of
+    ``_lift_target``, so a negative self-loop never climbs.
+
+    ``cut`` names the one vertex the seed may violate: the seed must meet
+    the progress condition at every other vertex, as a parent's least SEPM
+    does in a child cut at one Player-0 row.  The first queue is then
+    [cut] or empty, the queue the full scan would build, so the lifts are
+    the same and only the scan is saved.
 
     A lift whose target exceeds ``min(cap, B)`` goes straight to top,
-    where B is the sum of the |V|-1 largest drops max(0, -min weight out
-    of x).  This is exact: if Player 0 wins from x, a positional winning
-    strategy s makes every cycle of G_s reachable from x non-negative, so
-    the least credit at x is at most minus the weight of a simple path,
-    which is at most B.  Lifting iterates stay below the least SEPM, so an
-    iterate above B marks a top vertex.
+    where B is the sum of the |V|-1 largest drops (``arena.drops``).  This
+    is exact: if Player 0 wins from x, a positional winning strategy s
+    makes every cycle of G_s reachable from x non-negative, so the least
+    credit at x is at most minus the weight of a simple path, which is at
+    most B.  Lifting iterates stay below the least SEPM, so an iterate
+    above B marks a top vertex.
 
     ``lift_counter``, if given, is a one-element list accumulating the
     number of lift operations (diagnostic only).
     """
     cap = arena_cap(arena)
+    top = cap + 1
     n = arena.n
     if seed is None:
         f = [0] * n
@@ -150,10 +207,15 @@ def least_sepm(arena, seed=None, lift_counter=None):
         if seed.cap != cap or len(f) != n:
             raise InternalError("seed (%d, cap %d) is from another game "
                                 "(%d, cap %d)" % (len(f), seed.cap, n, cap))
-    drops = [max(0, -min(w for _, w in row)) for row in arena.out]
+    drops = arena.drops
     limit = min(cap, sum(drops) - min(drops))  # B: all drops but the least
-    queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]
-    queue = deque(u for u in range(n) if queued[u])
+    if cut is None:
+        queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]
+        queue = deque(u for u in range(n) if queued[u])
+    else:
+        queued = [False] * n
+        queued[cut] = f[cut] < _lift_target(arena, f, cap, cut)
+        queue = deque([cut] if queued[cut] else [])
 
     lifts = 0
     while queue:
@@ -163,11 +225,14 @@ def least_sepm(arena, seed=None, lift_counter=None):
         if target <= f[u]:
             continue
         if target > limit:
-            target = cap + 1
+            target = top
         f[u] = target
         lifts += 1
         for p, w in arena.ins[u]:
-            if not queued[p] and f[p] < ominus(target, w, cap):
+            # f[p] < target (-) w, with target top or finite
+            x = f[p]
+            if x < top and not queued[p] and (target == top
+                                              or x < target - w):
                 queue.append(p)
                 queued[p] = True
     if lift_counter is not None:

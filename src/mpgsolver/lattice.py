@@ -16,7 +16,9 @@ incompatible with the current subgame's least progress measure:
      least measure seeded from f; keep the child only if that measure is
      finite everywhere.  A child is its parent's subgame arena with row u
      cut, by ``Arena._keep`` as every Player-0 restriction is: it shares
-     every other row, so no subgame is rebuilt from the root;
+     every other row, so no subgame is rebuilt from the root.  f meets
+     the child's progress condition everywhere but at u, so the child's
+     lifting starts its worklist at u;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
@@ -180,8 +182,8 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                    for other in pruned):
                 continue  # inside a pruned subgame: pruned too
             child = sub._keep({u: kept[i]})
-            child_f = energy.least_sepm(child,
-                                        seed=f if seed_children else None)
+            child_f = (energy.least_sepm(child, seed=f, cut=u)
+                       if seed_children else energy.least_sepm(child))
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
                 pruned = [other for other in pruned

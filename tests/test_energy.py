@@ -34,6 +34,12 @@ def test_is_sepm_gamma_ex(gamma_ex):
     assert is_sepm(scaled, EnergyFunction([cap + 1] * 7, cap))
     lowered = (0, 3, 8, 4, 0, 4, 0)  # arc (B,C): 8 (-) 4 = 4 > 3
     assert not is_sepm(scaled, EnergyFunction(lowered, cap))
+    # a measure of another length or cap is no SEPM of this game, as
+    # delta_membership answers for it
+    assert not is_sepm(scaled, EnergyFunction(GAMMA_EX_FSTAR + (0,), cap))
+    assert not is_sepm(scaled, EnergyFunction(GAMMA_EX_FSTAR[:-1], cap))
+    assert not is_sepm(scaled, EnergyFunction([1] * 7, 0))  # all top
+    assert not is_sepm(scaled, EnergyFunction(GAMMA_EX_FSTAR, cap + 1))
 
 
 def test_least_sepm_gamma_ex(gamma_ex):
@@ -106,30 +112,45 @@ def test_least_sepm_is_sepm_and_matches_kleene():
                     continue
                 child = apply_mask(
                     a, SubgameMask.full(a).with_restriction(u, cut))
-                g = least_sepm(child, seed=f)
+                full, at_cut = [0], [0]
+                g = least_sepm(child, seed=f, lift_counter=full)
                 assert g == naive_least_sepm(child)
+                # f violates the child only at u: starting the queue there
+                # makes the same lifts as the full scan
+                assert least_sepm(child, seed=f, cut=u,
+                                  lift_counter=at_cut) == g
+                assert at_cut == full
                 seeded_to_top += not g.all_finite()
     assert seeded_to_top > 0
 
 
 def test_least_sepm_self_loop_climb():
     # P0 vertex with only a negative self-loop and a cheap escape must
-    # climb past neither: it takes the escape
+    # climb past neither: it takes the escape, in one lift
     a = Arena(["p", "q"], [0, 1], [(0, 0, -1), (0, 1, -2), (1, 1, 0)])
-    f = least_sepm(a)
+    counter = [0]
+    f = least_sepm(a, lift_counter=counter)
     assert f.values == (2, 0)
+    assert counter == [1]
     # without the escape the self-loop pumps the value to top
     b = Arena(["p"], [0], [(0, 0, -1)])
-    fb = least_sepm(b)
+    counter = [0]
+    fb = least_sepm(b, lift_counter=counter)
     assert not fb.all_finite()
+    assert counter == [1]
     # a P1 vertex must answer every arc: a zero self-loop costs nothing,
     # so it settles at its escape's requirement ...
     c = Arena(["p", "q"], [1, 1], [(0, 0, 0), (0, 1, -2), (1, 1, 0)])
-    assert least_sepm(c).values == (2, 0)
-    # ... while a negative self-loop pumps it to top despite the escape
+    counter = [0]
+    assert least_sepm(c, lift_counter=counter).values == (2, 0)
+    assert counter == [1]
+    # ... while a negative self-loop pumps it to top despite the escape,
+    # in one lift straight to top
     d = Arena(["p", "q"], [1, 0], [(0, 0, -1), (0, 1, 0), (1, 1, 0)])
-    fd = least_sepm(d)
+    counter = [0]
+    fd = least_sepm(d, lift_counter=counter)
     assert fd.is_top(0) and fd.values[1] == 0
+    assert counter == [1]
 
 
 def test_lift_past_credit_bound_goes_to_top():
@@ -146,12 +167,15 @@ def test_lift_past_credit_bound_goes_to_top():
 
 def test_value_at_credit_bound_stays_finite():
     # the gadget u -> u (-1), u -> x (-W), x -> x (0) has least SEPM
-    # u = W, which equals its credit bound B: a lift to exactly B is finite
-    w = 7
-    a = Arena(["u", "x"], [0, 0], [(0, 0, -1), (0, 1, -w), (1, 1, 0)])
-    f = least_sepm(a)
-    assert f.values == (w, 0)
-    assert f.all_finite()
+    # u = W, which equals its credit bound B: a lift to exactly B is finite;
+    # u never climbs its self-loop, so that takes one lift at any W
+    for w in (7, 10**6):
+        a = Arena(["u", "x"], [0, 0], [(0, 0, -1), (0, 1, -w), (1, 1, 0)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.values == (w, 0)
+        assert f.all_finite()
+        assert counter[0] <= 1
 
 
 def test_credit_bound_matches_kleene_with_tops():
