@@ -11,7 +11,7 @@ path on small instances.
 """
 
 from .arena import (Arena, SubgameMask, apply_mask, parse_arena, reweight,
-                    serialize_arena, to_dot)
+                    serialize_arena)
 from .energy import (EnergyFunction, arena_cap, compatible_arcs, is_sepm,
                      least_sepm, ominus, winning_regions)
 from .errors import (ArenaFormatError, InternalError, MaskError, MpgError,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arena", "SubgameMask", "apply_mask", "parse_arena", "reweight",
-    "serialize_arena", "to_dot",
+    "serialize_arena",
     "EnergyFunction", "arena_cap", "compatible_arcs", "is_sepm", "least_sepm",
     "ominus", "winning_regions",
     "ArenaFormatError", "InternalError", "MaskError", "MpgError",

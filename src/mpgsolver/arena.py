@@ -342,15 +342,3 @@ def apply_mask(arena, mask):
                     arena.names[v] if v in range(arena.n) else repr(v)))
     return arena._keep(mask.retained)
 
-
-def to_dot(arena):
-    """GraphViz export for visualization only; not parsed back."""
-    lines = ["digraph arena {"]
-    for u, name in enumerate(arena.names):
-        shape = "box" if arena.owner[u] == 0 else "circle"
-        lines.append('  %s [shape=%s];' % (name, shape))
-    for u, v, w in arena.arcs():
-        lines.append('  %s -> %s [label="%d"];' % (
-            arena.names[u], arena.names[v], w))
-    lines.append("}")
-    return "\n".join(lines) + "\n"

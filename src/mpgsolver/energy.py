@@ -21,11 +21,12 @@ p with f(p) < x (-) w(p,u), so exactly those predecessors are enqueued.
 The least SEPM's finite region is Player 0's winning region in the
 energy game.
 
-A negative self-loop never holds at a finite value, so the lifting
-loop reads it as a top successor instead of climbing it |w| at a time:
-the length-1 case of accelerated lifting (Dorfman, Kaplan & Zwick,
-ICALP 2019), with the proof at ``_lift_target``.  Climbs around longer
-negative cycles still go one lift at a time, so their cost grows with W.
+Two rules, after accelerated lifting (Dorfman, Kaplan & Zwick, ICALP
+2019), cut the climbs whose lifts grow with W.  A negative self-loop never
+holds at a finite value, so the lifting loop reads it as a top successor
+instead of climbing it |w| at a time (proof at ``_lift_target``).  A
+region that climbs around longer negative cycles is raised to its exits,
+or to top, in one jump (``_jump``, proof at ``least_sepm``).
 """
 
 from __future__ import annotations
@@ -149,6 +150,97 @@ def _lift_target(arena, f, cap, u):
     return best if best <= cap else top
 
 
+def _jump(arena, f, top, limit, region):
+    """Raise the finite vertices of ``region`` to a lower bound g of f*.
+
+    Sets f to max(f, g) and returns the raised vertices in ``region``
+    order.  The construction and its proof are in ``least_sepm``.
+    """
+    n = arena.n
+    inside = [v for v in region if f[v] < top]  # S
+    member = [False] * n
+    for v in inside:
+        member[v] = True
+    arcs = [()] * n  # v -> its kept arcs (x, w) with x in S
+    g = [top] * n  # starts at the clamp of v's least exit f(x) - w
+    for v in inside:
+        kept = []
+        low = top
+        if arena.owner[v]:
+            # one arc: the best finite one, as an exit if it leaves S
+            arc = None
+            for x, w in arena.out[v]:
+                y = f[x]
+                if (y < top and (x != v or w >= 0)
+                        and (arc is None or y - w > low)):
+                    arc, low = (x, w), y - w
+            if arc is not None and member[arc[0]]:
+                kept.append(arc)
+                low = top
+        else:
+            for x, w in arena.out[v]:
+                y = f[x]
+                if y < top and (x != v or w >= 0):
+                    if member[x]:
+                        kept.append((x, w))
+                    elif y - w < low:
+                        low = y - w
+        arcs[v] = kept
+        g[v] = 0 if low <= 0 else (low if low <= limit else top)
+    # Freeze each vertex that reaches a cycle of weight >= 0, that is a
+    # negative cycle of -(n+1)*w - 1: after |S| rounds of Bellman-Ford to
+    # a zero virtual sink, some vertex of each such cycle still relaxes.
+    scale = -(n + 1)
+    d = [0] * n
+    changed = False
+    for _ in inside:
+        changed = False
+        for v in inside:
+            for x, w in arcs[v]:
+                c = d[x] + scale * w - 1
+                if c < d[v]:
+                    d[v] = c
+                    changed = True
+        if not changed:
+            break
+    live = inside
+    if changed:
+        frozen = [False] * n
+        back = [[] for _ in range(n)]
+        stack = []
+        for v in inside:
+            for x, w in arcs[v]:
+                back[x].append(v)
+                if not frozen[v] and d[x] + scale * w - 1 < d[v]:
+                    frozen[v] = True
+                    stack.append(v)
+        while stack:
+            for p in back[stack.pop()]:
+                if not frozen[p]:
+                    frozen[p] = True
+                    stack.append(p)
+        live = [v for v in inside if not frozen[v]]
+    # Every cycle left is negative: relax g down from top, in rounds.
+    changed = True
+    while changed:
+        changed = False
+        for v in live:
+            low = top
+            for x, w in arcs[v]:
+                y = g[x]
+                if y < top and y - w < low:
+                    low = y - w
+            if low < 0:
+                low = 0
+            if low < g[v] and low <= limit:
+                g[v] = low
+                changed = True
+    raised = [v for v in live if g[v] > f[v]]
+    for v in raised:
+        f[v] = g[v]
+    return raised
+
+
 def is_sepm(arena, f):
     """Check the progress condition at every vertex.
 
@@ -194,8 +286,41 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     most B.  Lifting iterates stay below the least SEPM, so an iterate
     above B marks a top vertex.
 
+    Jumps.  When a vertex's lift count in this call reaches 3, and again
+    at 4, 8, 16, ..., the region S of finite vertices lifted so far in
+    this call is raised in one step to a lower bound g of the least SEPM
+    f* (``_jump``), instead of climbing around its negative cycles one
+    lift at a time.  A jump passes over S several times, so it also
+    waits until the call has made |S| lifts since the last jump:
+    - vertices outside S read as the constants f(v);
+    - each Player-1 vertex of S keeps one arc, its best finite one under
+      f (none: it reads top), and each Player-0 vertex keeps its arcs to
+      finite vertices but its negative self-loops;
+    - vertices of S that reach a cycle of weight >= 0 over the kept arcs
+      stay at f (Bellman-Ford on the weights -(n+1)*w - 1, whose
+      negative cycles are exactly those cycles);
+    - on the rest of S, g is relaxed down from top: g(v) is the clamp of
+      the least f(x) - w over v's kept arcs that leave S and g(x) - w
+      over those inside S, any value above ``min(cap, B)`` going to top;
+    - f becomes max(f, g), and the predecessors of each raised vertex
+      are queued by the rule that follows a lift.
+    This is exact.  Let G be the operator of the kept arcs on the relaxed
+    part of S, every other vertex held at f, with the clamp and the jump
+    to top of a lift.  G is monotone and G(f*) <= f*: a held vertex reads
+    f <= f*, an arc that leaves S reads f(x) - w <= f*(x) - w, an arc
+    dropped for a top f(x) ends at a top f*(x), and a Player-1 vertex
+    keeps fewer arcs.  So lfp(G) <= f*.  Every cycle of the relaxed part
+    is negative, so at a fixpoint of G each finite value is met along a
+    path to an exit, and G has one fixpoint, which the relaxation from
+    top reaches: g = lfp(G) <= f*.
+    Hence f stays below f*, every violated vertex stays queued, and the
+    loop still ends at f*.  The first jump waits for a vertex's third
+    lift: on lattice children, jumping at the second costs more than it
+    saves.
+
     ``lift_counter``, if given, is a one-element list accumulating the
-    number of lift operations (diagnostic only).
+    number of lift operations (diagnostic only).  Each vertex that a jump
+    raises counts as one lift.
     """
     cap = arena_cap(arena)
     top = cap + 1
@@ -218,6 +343,9 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
         queue = deque([cut] if queued[cut] else [])
 
     lifts = 0
+    count = [0] * n  # lifts per vertex in this call
+    region = []  # the vertices lifted so far, in first-lift order
+    paid = 0  # lifts counted at the last jump
     while queue:
         u = queue.popleft()
         queued[u] = False
@@ -228,13 +356,24 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
             target = top
         f[u] = target
         lifts += 1
-        for p, w in arena.ins[u]:
-            # f[p] < target (-) w, with target top or finite
-            x = f[p]
-            if x < top and not queued[p] and (target == top
-                                              or x < target - w):
-                queue.append(p)
-                queued[p] = True
+        raised = [u]
+        c = count[u] = count[u] + 1
+        if c == 1:
+            region.append(u)
+        elif (target < top and (c == 3 or (c > 3 and not c & (c - 1)))
+              and lifts - paid >= len(region)):
+            jumped = _jump(arena, f, top, limit, region)
+            lifts += len(jumped)
+            paid = lifts
+            raised += jumped
+        for v in raised:
+            y = f[v]
+            for p, w in arena.ins[v]:
+                # f[p] < f[v] (-) w, with f[v] top or finite
+                x = f[p]
+                if x < top and not queued[p] and (y == top or x < y - w):
+                    queue.append(p)
+                    queued[p] = True
     if lift_counter is not None:
         lift_counter[0] += lifts
     return EnergyFunction(f, cap, arena.scale)

@@ -7,7 +7,7 @@ import pytest
 from mpgsolver import (Arena, ArenaFormatError, MaskError, SubgameMask,
                        apply_mask, decompose, enumerate_lattice,
                        ergodic_partition, parse_arena, restrict, reweight,
-                       serialize_arena, solve_values, to_dot)
+                       serialize_arena, solve_values)
 from mpgsolver.oracle import all_strategies, gen_random_arena
 
 
@@ -275,11 +275,6 @@ def test_serialize_gamma_d_counts(gamma_d):
 def test_round_trip_random_arenas(seed):
     a = gen_random_arena(6, 3, 6, seed)
     assert parse_arena(serialize_arena(a)) == a
-
-
-def test_to_dot_mentions_every_arc(gamma_ex):
-    dot = to_dot(gamma_ex)
-    assert dot.count("->") == gamma_ex.arc_count()
 
 
 def assert_same_slots(arena, checked):

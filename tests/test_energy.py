@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -308,3 +309,156 @@ def test_pointwise_le_requires_same_cap():
     for x, y in [(short, long), (long, short)]:
         with pytest.raises(InternalError):
             x.pointwise_le(y)
+
+
+# The lifting loop before jumps, kept as the reference that the jumps
+# must reproduce: one lift per pop, a negative self-loop read as a top
+# successor, and lifts past min(cap, B) sent to top.
+def per_lift_target(arena, f, cap, u):
+    top = cap + 1
+    if arena.owner[u] == 0:
+        best = top
+        for v, w in arena.out[u]:
+            x = f[v]
+            if x < top and (v != u or w >= 0):
+                best = min(best, x - w)
+    else:
+        best = 0
+        for v, w in arena.out[u]:
+            x = f[v]
+            if x == top or (v == u and w < 0):
+                return top
+            best = max(best, x - w)
+    if best <= 0:
+        return 0
+    return best if best <= cap else top
+
+
+def per_lift_least_sepm(arena, seed=None, cut=None, lift_counter=None):
+    cap = arena_cap(arena)
+    top = cap + 1
+    n = arena.n
+    f = [0] * n if seed is None else list(seed.values)
+    drops = arena.drops
+    limit = min(cap, sum(drops) - min(drops))
+    if cut is None:
+        queued = [f[u] < per_lift_target(arena, f, cap, u) for u in range(n)]
+        queue = deque(u for u in range(n) if queued[u])
+    else:
+        queued = [False] * n
+        queued[cut] = f[cut] < per_lift_target(arena, f, cap, cut)
+        queue = deque([cut] if queued[cut] else [])
+    lifts = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        target = per_lift_target(arena, f, cap, u)
+        if target <= f[u]:
+            continue
+        if target > limit:
+            target = top
+        f[u] = target
+        lifts += 1
+        for p, w in arena.ins[u]:
+            x = f[p]
+            if x < top and not queued[p] and (target == top
+                                              or x < target - w):
+                queue.append(p)
+                queued[p] = True
+    if lift_counter is not None:
+        lift_counter[0] += lifts
+    return EnergyFunction(f, cap, arena.scale)
+
+
+def one_row_children(arena, f):
+    """(u, child) for each Player-0 row cut to its f-incompatible arcs."""
+    for u in arena.vertices_of(0):
+        cut = [v for _, v in incompatible_arcs(arena, f, u)]
+        if cut:
+            yield u, apply_mask(
+                arena, SubgameMask.full(arena).with_restriction(u, cut))
+
+
+def test_jump_raises_a_two_vertex_climb_to_its_exit():
+    # u and x climb the cycle u -> x -> u of weight -1 one unit per lift
+    # until u's exit to z, W below, pays off: W lifts without the jump
+    w = 10**6
+    a = Arena(["u", "x", "z"], [0, 0, 0],
+              [(0, 1, -1), (0, 2, -w), (1, 0, 0), (2, 2, 0)])
+    counter = [0]
+    f = least_sepm(a, lift_counter=counter)
+    assert f.values == (w, w, 0)
+    assert counter[0] <= 16
+
+
+def test_jump_sends_two_cycles_through_one_vertex_to_top():
+    # a (Player 0) picks between the cycles a -> b -> a and a -> c -> a,
+    # both of weight -1; its only exit leads to d, which is top.  Jumping
+    # one cycle at a time would leave the other holding it back.
+    for w in (5, 10**6):
+        a = Arena(["a", "b", "c", "d"], [0, 0, 1, 0],
+                  [(0, 1, -1), (0, 2, 0), (0, 3, -w), (1, 0, 0), (2, 0, -1),
+                   (3, 3, -1)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.values == (f.cap + 1,) * 4
+        assert counter[0] <= 16
+    assert f.cap == 3 * 10**6  # the credit bound B is about W too
+
+
+def test_jumps_match_kleene_on_the_corpus():
+    # the 200-arena corpus of the acceptance suite, reweighted at and off
+    # its values so that many measures have top entries, with seeded
+    # one-row children as the lattice makes them
+    tops = cases = 0
+    jumped, plain = [0], [0]
+    for seed in range(200):
+        a = gen_random_arena(6, 3, 4, seed)
+        vals = sorted(set(solve_values(a).vals))
+        for nu in {vals[0], vals[-1], vals[0] - Fraction(1, 2),
+                   vals[-1] + Fraction(1, 3)}:
+            scaled = reweight(a, nu)
+            f = least_sepm(scaled, lift_counter=jumped)
+            assert f == naive_least_sepm(scaled)
+            per_lift_least_sepm(scaled, lift_counter=plain)
+            cases += 1
+            tops += not f.all_finite()
+            for u, child in one_row_children(scaled, f):
+                g = least_sepm(child, seed=f, cut=u, lift_counter=jumped)
+                assert g == naive_least_sepm(child)
+                per_lift_least_sepm(child, seed=f, cut=u, lift_counter=plain)
+                cases += 1
+                tops += not g.all_finite()
+    assert cases > 1200 and tops > 600
+    assert jumped[0] < plain[0]  # the jumps ran
+
+
+def test_jumps_match_the_per_lift_loop_on_larger_arenas(monkeypatch):
+    # every value probe of denominator <= 16 that solve_values makes on
+    # two n = 100 arenas, and the seeded one-row children of each probe
+    # and of each value class, against the loop without jumps
+    from mpgsolver import energy
+    probes = []
+    real = energy.least_sepm
+    monkeypatch.setattr(energy, "least_sepm",
+                        lambda arena: probes.append(arena) or real(arena))
+    games = [gen_random_arena(100, 3, 10, s) for s in (1, 2)]
+    for a in games:
+        probes += [reweight(cls.subgame, cls.nu)
+                   for cls in ergodic_partition(a, solve_values(a))]
+    monkeypatch.undo()
+    jumped, plain = [0], [0]
+    cases = 0
+    for scaled in probes:
+        if scaled.scale > 16:
+            continue
+        f = least_sepm(scaled, lift_counter=jumped)
+        assert f == per_lift_least_sepm(scaled, lift_counter=plain)
+        cases += 1
+        for u, child in one_row_children(scaled, f):
+            g = least_sepm(child, seed=f, cut=u, lift_counter=jumped)
+            assert g == per_lift_least_sepm(child, seed=f, cut=u,
+                                            lift_counter=plain)
+            cases += 1
+    assert cases > 300
+    assert 10 * jumped[0] < plain[0]
