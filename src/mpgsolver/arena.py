@@ -49,8 +49,6 @@ class Arena:
 
     ``scale`` records the denominator accumulated by reweightings, so that
     energy levels computed on this arena are expressed in scaled units.
-    ``drops[u]`` is the largest energy loss on one arc out of u,
-    max(0, -min weight of ``out[u]``), which bounds the lifting loop.
     ``W`` is the game's weight bound, which sets its energy cap: the
     largest |weight| of its rows, kept by Player-0 restrictions
     (``_keep``) so that a subgame's measures compare with its game's.
@@ -59,8 +57,7 @@ class Arena:
     ``_from_rows`` or ``_keep``, which trust input already checked.
     """
 
-    __slots__ = ("names", "owner", "out", "scale", "index", "ins", "drops",
-                 "W")
+    __slots__ = ("names", "owner", "out", "scale", "index", "ins", "W")
 
     def __init__(self, names, owners, arcs):
         names = tuple(names)
@@ -106,16 +103,10 @@ class Arena:
         self.owner = tuple(owners)
         self.out = tuple(tuple(row) for row in out)
         ins = [[] for _ in self.names]
-        drops = []
         for u, row in enumerate(self.out):
-            low = 0
             for v, w in row:
                 ins[v].append((u, w))
-                if w < low:
-                    low = w
-            drops.append(-low)
         self.ins = tuple(tuple(row) for row in ins)
-        self.drops = tuple(drops)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.W = max(abs(w) for row in self.out for _, w in row)
         self.scale = scale
@@ -123,24 +114,22 @@ class Arena:
     def _keep(self, kept):
         """Unchecked Player-0 restriction: each ``u`` in ``kept`` keeps only
         its arcs to ``kept[u]``, a nonempty subset of u's destinations,
-        tested by ``in`` as given.  It shares every other ``out`` row and
-        drop, every ``ins`` row the cut leaves alone, ``names``, ``owner``,
+        tested by ``in`` as given.  It shares every other ``out`` row,
+        every ``ins`` row the cut leaves alone, ``names``, ``owner``,
         ``index``, ``scale`` and ``W`` with this arena."""
         arena = Arena.__new__(Arena)
         arena.names, arena.owner = self.names, self.owner
         arena.index, arena.scale, arena.W = self.index, self.scale, self.W
-        out, ins, drops = list(self.out), list(self.ins), list(self.drops)
+        out, ins = list(self.out), list(self.ins)
         for u, dsts in kept.items():
             row = out[u]
             kept_row = tuple([arc for arc in row if arc[0] in dsts])
             if len(kept_row) < len(row):
                 out[u] = kept_row
-                drops[u] = max(0, -min([w for _, w in kept_row]))
                 for v, _ in row:
                     if v not in dsts:
                         ins[v] = tuple([arc for arc in ins[v] if arc[0] != u])
         arena.out, arena.ins = tuple(out), tuple(ins)
-        arena.drops = tuple(drops)
         return arena
 
     @property

@@ -5,10 +5,7 @@ is a plain int, with K+1 standing for top; this keeps the lifting loop in
 cheap integer comparisons while staying exact.  K is the arena's cap
 (|V|-1)*W: no finite least progress-measure entry can exceed it.  W is
 the game's weight bound, which Player-0 restrictions keep, so every
-subgame of a game has the game's cap and their measures compare.  The
-lifting loop saturates earlier, at the arena's credit bound B (the sum of
-the |V|-1 largest drops, see ``least_sepm``): any lift past min(K, B) goes
-straight to top, while K stays the cap that values are reported against.
+subgame of a game has the game's cap and their measures compare.
 
 A small energy-progress measure (SEPM) f must, at every Player-0 vertex,
 dominate f(v) (-) w(u,v) for SOME successor v, and at every Player-1
@@ -150,7 +147,7 @@ def _lift_target(arena, f, cap, u):
     return best if best <= cap else top
 
 
-def _jump(arena, f, top, limit, region):
+def _jump(arena, f, top, region):
     """Raise the finite vertices of ``region`` to a lower bound g of f*.
 
     Sets f to max(f, g) and returns the raised vertices in ``region``
@@ -186,7 +183,7 @@ def _jump(arena, f, top, limit, region):
                     elif y - w < low:
                         low = y - w
         arcs[v] = kept
-        g[v] = 0 if low <= 0 else (low if low <= limit else top)
+        g[v] = 0 if low <= 0 else min(low, top)
     # Freeze each vertex that reaches a cycle of weight >= 0, that is a
     # negative cycle of -(n+1)*w - 1: after |S| rounds of Bellman-Ford to
     # a zero virtual sink, some vertex of each such cycle still relaxes.
@@ -232,7 +229,7 @@ def _jump(arena, f, top, limit, region):
                     low = y - w
             if low < 0:
                 low = 0
-            if low < g[v] and low <= limit:
+            if low < g[v]:
                 g[v] = low
                 changed = True
     raised = [v for v in live if g[v] > f[v]]
@@ -276,15 +273,8 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     the progress condition at every other vertex, as a parent's least SEPM
     does in a child cut at one Player-0 row.  The first queue is then
     [cut] or empty, the queue the full scan would build, so the lifts are
-    the same and only the scan is saved.
-
-    A lift whose target exceeds ``min(cap, B)`` goes straight to top,
-    where B is the sum of the |V|-1 largest drops (``arena.drops``).  This
-    is exact: if Player 0 wins from x, a positional winning strategy s
-    makes every cycle of G_s reachable from x non-negative, so the least
-    credit at x is at most minus the weight of a simple path, which is at
-    most B.  Lifting iterates stay below the least SEPM, so an iterate
-    above B marks a top vertex.
+    the same and only the scan is saved.  A ``cut`` without a seed, or
+    outside ``range(n)``, raises InternalError.
 
     Jumps.  When a vertex's lift count in this call reaches 3, and again
     at 4, 8, 16, ..., the region S of finite vertices lifted so far in
@@ -301,18 +291,18 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
       negative cycles are exactly those cycles);
     - on the rest of S, g is relaxed down from top: g(v) is the clamp of
       the least f(x) - w over v's kept arcs that leave S and g(x) - w
-      over those inside S, any value above ``min(cap, B)`` going to top;
+      over those inside S;
     - f becomes max(f, g), and the predecessors of each raised vertex
       are queued by the rule that follows a lift.
     This is exact.  Let G be the operator of the kept arcs on the relaxed
-    part of S, every other vertex held at f, with the clamp and the jump
-    to top of a lift.  G is monotone and G(f*) <= f*: a held vertex reads
-    f <= f*, an arc that leaves S reads f(x) - w <= f*(x) - w, an arc
-    dropped for a top f(x) ends at a top f*(x), and a Player-1 vertex
-    keeps fewer arcs.  So lfp(G) <= f*.  Every cycle of the relaxed part
-    is negative, so at a fixpoint of G each finite value is met along a
-    path to an exit, and G has one fixpoint, which the relaxation from
-    top reaches: g = lfp(G) <= f*.
+    part of S, every other vertex held at f, with the clamp of a lift.
+    G is monotone and G(f*) <= f*: a held vertex reads f <= f*, an arc
+    that leaves S reads f(x) - w <= f*(x) - w, an arc dropped for a top
+    f(x) ends at a top f*(x), and a Player-1 vertex keeps fewer arcs.
+    So lfp(G) <= f*.  Every cycle of the relaxed part is negative, so at
+    a fixpoint of G each finite value is met along a path to an exit, and
+    G has one fixpoint, which the relaxation from top reaches:
+    g = lfp(G) <= f*.
     Hence f stays below f*, every violated vertex stays queued, and the
     loop still ends at f*.  The first jump waits for a vertex's third
     lift: on lattice children, jumping at the second costs more than it
@@ -332,11 +322,12 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
         if seed.cap != cap or len(f) != n:
             raise InternalError("seed (%d, cap %d) is from another game "
                                 "(%d, cap %d)" % (len(f), seed.cap, n, cap))
-    drops = arena.drops
-    limit = min(cap, sum(drops) - min(drops))  # B: all drops but the least
     if cut is None:
         queued = [f[u] < _lift_target(arena, f, cap, u) for u in range(n)]
         queue = deque(u for u in range(n) if queued[u])
+    elif seed is None or not 0 <= cut < n:
+        raise InternalError("cut %r needs a seed and a vertex of this game"
+                            % (cut,))
     else:
         queued = [False] * n
         queued[cut] = f[cut] < _lift_target(arena, f, cap, cut)
@@ -352,8 +343,6 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
         target = _lift_target(arena, f, cap, u)
         if target <= f[u]:
             continue
-        if target > limit:
-            target = top
         f[u] = target
         lifts += 1
         raised = [u]
@@ -362,7 +351,7 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
             region.append(u)
         elif (target < top and (c == 3 or (c > 3 and not c & (c - 1)))
               and lifts - paid >= len(region)):
-            jumped = _jump(arena, f, top, limit, region)
+            jumped = _jump(arena, f, top, region)
             lifts += len(jumped)
             paid = lifts
             raised += jumped

@@ -154,22 +154,31 @@ def test_least_sepm_self_loop_climb():
     assert counter == [1]
 
 
-def test_lift_past_credit_bound_goes_to_top():
+def test_losing_cycles_go_to_top_at_a_large_cap():
     # a (Player 1) pumps its -1 self-loop; the +1000 arcs raise the cap
-    # K to 1000 but the credit bound B (sum of the |V|-1 largest drops)
-    # is 1, so a's second lift, to 2, goes straight to top
+    # K to 1000, and the self-loop rule sends a straight to top
     a = Arena(["a", "b"], [1, 0], [(0, 0, -1), (0, 1, 1000), (1, 1, 1000)])
     counter = [0]
     f = least_sepm(a, lift_counter=counter)
     assert f.cap == 1000
     assert f.values == (f.cap + 1, 0)
     assert counter[0] <= 2
+    # the same loss around the two-cycle a -> c -> a, which no self-loop
+    # rule sees: a jump sends it to top whatever the cap
+    for w in (10**3, 10**6, 10**12):
+        a = Arena(["a", "b", "c"], [1, 0, 0],
+                  [(0, 1, w), (0, 2, -1), (1, 1, w), (2, 0, 0)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.cap == 2 * w
+        assert f.values == (f.cap + 1, 0, f.cap + 1)
+        assert counter[0] <= 8
 
 
-def test_value_at_credit_bound_stays_finite():
+def test_value_at_the_cap_stays_finite():
     # the gadget u -> u (-1), u -> x (-W), x -> x (0) has least SEPM
-    # u = W, which equals its credit bound B: a lift to exactly B is finite;
-    # u never climbs its self-loop, so that takes one lift at any W
+    # u = W, which equals the cap K = (|V|-1)*W: a lift to exactly K is
+    # finite; u never climbs its self-loop, so that takes one lift at any W
     for w in (7, 10**6):
         a = Arena(["u", "x"], [0, 0], [(0, 0, -1), (0, 1, -w), (1, 1, 0)])
         counter = [0]
@@ -179,9 +188,16 @@ def test_value_at_credit_bound_stays_finite():
         assert counter[0] <= 1
 
 
-def test_credit_bound_matches_kleene_with_tops():
-    # off-value reweightings leave many vertices top; the early
-    # saturation must agree with the plain Kleene iteration up to K
+def skew(arena, factor):
+    """The arena with every positive weight multiplied by ``factor``."""
+    return Arena(arena.names, arena.owner,
+                 [(u, v, w * factor if w > 0 else w)
+                  for u, v, w in arena.arcs()])
+
+
+def test_lifting_matches_kleene_with_tops():
+    # off-value reweightings leave many vertices top; lifting must agree
+    # with the plain Kleene iteration up to K
     tops = finite = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -202,6 +218,24 @@ def test_credit_bound_matches_kleene_with_tops():
                 tops += not g.all_finite()
                 break
     assert tops > 100 and finite > 50
+    # positive weights x1000 raise K far above the credit bound B of the
+    # per-lift reference, so a top vertex reaches top there by B and here
+    # by the self-loop rule or a jump.  Kleene climbs to K too slowly to
+    # be the reference at this scale.
+    tops = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        base = gen_random_arena(2 + seed % 5, 3, 1 + seed % 4, seed)
+        a = skew(reweight(base, Fraction(rng.randint(-6, 6),
+                                         rng.randint(1, 3))), 1000)
+        f = least_sepm(a)
+        assert f == per_lift_least_sepm(a)
+        tops += not f.all_finite()
+        for u, child in one_row_children(a, f):
+            g = least_sepm(child, seed=f, cut=u)
+            assert g == per_lift_least_sepm(child, seed=f, cut=u)
+            tops += not g.all_finite()
+    assert tops > 100
 
 
 def test_seeded_restart_equals_cold_start(gamma_d):
@@ -299,6 +333,20 @@ def test_seed_from_another_game_raises():
             least_sepm(arena, seed=least_sepm(other))
 
 
+def test_cut_needs_a_seed_and_a_vertex_of_the_game():
+    # x -> y (-3) violates the all-zero start at x, not at the cut y: a
+    # cut without a seed would leave x at 0, where f* needs 3
+    a = Arena(["x", "y"], [0, 0], [(0, 1, -3), (1, 1, 0)])
+    assert least_sepm(a).values == (3, 0)
+    with pytest.raises(InternalError):
+        least_sepm(a, cut=1)
+    seed = EnergyFunction([0, 0], arena_cap(a))
+    for cut in (2, 5, -1, -2):
+        with pytest.raises(InternalError):
+            least_sepm(a, seed=seed, cut=cut)
+    assert least_sepm(a, seed=seed, cut=0).values == (3, 0)
+
+
 def test_pointwise_le_requires_same_cap():
     a = EnergyFunction([0], 3)
     b = EnergyFunction([0], 4)
@@ -313,7 +361,11 @@ def test_pointwise_le_requires_same_cap():
 
 # The lifting loop before jumps, kept as the reference that the jumps
 # must reproduce: one lift per pop, a negative self-loop read as a top
-# successor, and lifts past min(cap, B) sent to top.
+# successor, and lifts past min(cap, B) sent to top, where the credit
+# bound B is the sum of the |V|-1 largest per-row drops.  If Player 0
+# wins from x, a positional winning strategy makes every cycle it reaches
+# non-negative, so the least credit at x is at most minus the weight of
+# a simple path, at most B.
 def per_lift_target(arena, f, cap, u):
     top = cap + 1
     if arena.owner[u] == 0:
@@ -339,7 +391,7 @@ def per_lift_least_sepm(arena, seed=None, cut=None, lift_counter=None):
     top = cap + 1
     n = arena.n
     f = [0] * n if seed is None else list(seed.values)
-    drops = arena.drops
+    drops = [max(0, -min(w for _, w in row)) for row in arena.out]
     limit = min(cap, sum(drops) - min(drops))
     if cut is None:
         queued = [f[u] < per_lift_target(arena, f, cap, u) for u in range(n)]
@@ -403,7 +455,7 @@ def test_jump_sends_two_cycles_through_one_vertex_to_top():
         f = least_sepm(a, lift_counter=counter)
         assert f.values == (f.cap + 1,) * 4
         assert counter[0] <= 16
-    assert f.cap == 3 * 10**6  # the credit bound B is about W too
+    assert f.cap == 3 * 10**6  # K = 3W: a jump, not a climb, reaches top
 
 
 def test_jumps_match_kleene_on_the_corpus():
