@@ -56,21 +56,28 @@ def incompatible_arcs(arena, f, u):
 
 
 class SubgameNode:
-    """One basic subgame: its mask, its measure, and its discoverers."""
+    """One basic subgame: its key (the destination set each vertex of the
+    shared tuple ``p0`` keeps), its measure, and its discoverers."""
 
-    __slots__ = ("id", "mask", "sepm_id", "parent_ids")
+    __slots__ = ("id", "key", "p0", "sepm_id", "parent_ids")
 
-    def __init__(self, node_id, mask, sepm_id, parent_ids):
+    def __init__(self, node_id, key, p0, sepm_id, parent_ids):
         self.id = node_id
-        self.mask = mask
+        self.key = key
+        self.p0 = p0
         self.sepm_id = sepm_id
         self.parent_ids = list(parent_ids)
+
+    @property
+    def mask(self):
+        """This subgame's ``SubgameMask``, built from the key on each read."""
+        return SubgameMask({u: tuple(sorted(kept))
+                            for u, kept in zip(self.p0, self.key)})
 
     def removed_arcs(self, arena):
         """Arcs of the root arena this subgame drops, canonical order."""
         removed = []
-        for u in sorted(self.mask.retained):
-            kept = set(self.mask.retained[u])
+        for u, kept in zip(self.p0, self.key):
             removed.extend((u, v) for v, _ in arena.out[u] if v not in kept)
         return removed
 
@@ -140,12 +147,12 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     sepms = []
     sepm_ids = {}  # measure values -> sepm id
     nodes = []
-    # A subgame's key is the frozenset each p0 vertex keeps, in p0 order;
-    # it indexes nodes and pruned children.  Only nodes get a mask.
+    # A subgame is its key: the frozenset each p0 vertex keeps, in p0
+    # order.  It indexes nodes and pruned children, and each node keeps it.
     node_ids = {}  # key -> node id
     pruned = []  # keys of pruned children, an antichain under inclusion
 
-    def emit(mask, key, f, parent_ids):
+    def emit(key, f, parent_ids):
         if key in node_ids:
             raise InternalError("subgame inserted twice")
         sepm_id = sepm_ids.get(f.values)
@@ -154,7 +161,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
             sepms.append(f)
             if on_sepm is not None:
                 on_sepm(sepm_id, f)
-        node = SubgameNode(len(nodes), mask, sepm_id, parent_ids)
+        node = SubgameNode(len(nodes), key, p0, sepm_id, parent_ids)
         node_ids[key] = node.id
         nodes.append(node)
         if on_subgame is not None:
@@ -163,11 +170,12 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
 
     # Explicit stack mirroring the recursion: children are pushed in
     # declaration order and expanded last-first, each with its subgame.
-    root = SubgameMask.full(scaled)
-    root_key = tuple(frozenset(root.retained[u]) for u in p0)
-    pending = [(emit(root, root_key, root_f, []), root_key, root_f, scaled)]
+    root_key = tuple(frozenset(v for v, _ in scaled.out[u]) for u in p0)
+    pending = [(emit(root_key, root_f, []), scaled)]
     while pending:
-        node_id, key, f, sub = pending.pop()
+        node_id, sub = pending.pop()
+        node = nodes[node_id]
+        key, f = node.key, sepms[node.sepm_id]
         for i, u in enumerate(p0):
             cut = [v for _, v in incompatible_arcs(sub, f, u)]
             if not cut:
@@ -190,9 +198,7 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                           if not all(map(frozenset.issubset, other, kept))]
                 pruned.append(kept)
                 continue
-            mask = nodes[node_id].mask.with_restriction(u, cut)
-            pending.append((emit(mask, kept, child_f, [node_id]), kept,
-                            child_f, child))
+            pending.append((emit(kept, child_f, [node_id]), child))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 
 
@@ -230,11 +236,15 @@ def decompose(arena, nu, lattice, max_listed=None):
     as its least SEPM, certified by its tight arcs without lifting
     (``delta_membership``).  Counts are always exact;
     listed strategies are truncated at ``max_listed`` (None lists
-    everything; a negative cap raises ValueError).
+    everything).  A negative cap, or a lattice whose root measure is no
+    SEPM of the reweighted arena (another game's, or another nu's), raises
+    ValueError.
     """
     if max_listed is not None and max_listed < 0:
         raise ValueError("max_listed must be >= 0, got %d" % max_listed)
     scaled = reweight(arena, nu)
+    if not energy.is_sepm(scaled, lattice.root_sepm):
+        raise ValueError("lattice enumerated from another game or nu")
     p0 = scaled.vertices_of(0)
     blocks = []
     for sepm_id, f in enumerate(lattice.sepms):

@@ -120,33 +120,31 @@ def test_seeded_equals_unseeded(gamma_d):
 @pytest.mark.parametrize("seed_children", [True, False])
 def test_enumerate_keys_children_without_masks(gamma_d, monkeypatch,
                                                seed_children):
-    # Children are indexed and pruned by their tuple of kept-destination
-    # sets: no mask key is formed, a mask is built only for an emitted
-    # node, and a node links each of its discoverers once.
+    # A basic subgame is its key, the tuple of kept-destination sets: the
+    # enumeration builds no SubgameMask, no node holds one, and a node
+    # links each of its discoverers once.
     a = gen_random_arena(24, 3, 1, 2)
     games = [(gamma_d, Fraction(0))] + [
         (cls.subgame, cls.nu) for cls in ergodic_partition(a, solve_values(a))]
-    calls = {"key": 0, "with_restriction": 0}
-    real_key, real_restrict = SubgameMask.key, SubgameMask.with_restriction
+    built = []
+    real_init = SubgameMask.__init__
 
-    def spy_key(mask):
-        calls["key"] += 1
-        return real_key(mask)
+    def spy_init(mask, retained):
+        built.append(retained)
+        real_init(mask, retained)
 
-    def spy_restrict(mask, u, dsts):
-        calls["with_restriction"] += 1
-        return real_restrict(mask, u, dsts)
-
-    monkeypatch.setattr(SubgameMask, "key", spy_key)
-    monkeypatch.setattr(SubgameMask, "with_restriction", spy_restrict)
+    monkeypatch.setattr(SubgameMask, "__init__", spy_init)
     shared = 0
     for arena, nu in games:
-        calls.update(key=0, with_restriction=0)
         _, b = enumerate_lattice(arena, nu, seed_children=seed_children)
-        assert calls == {"key": 0, "with_restriction": len(b) - 1}
+        assert built == []
         for node in b.nodes:
+            assert not any(isinstance(getattr(node, slot), SubgameMask)
+                           for slot in lattice.SubgameNode.__slots__)
             assert len(set(node.parent_ids)) == len(node.parent_ids)
             shared += len(node.parent_ids) > 1
+        assert b.nodes[-1].mask.key() and len(built) == 1  # the spy counts
+        built.clear()
     assert shared  # the link check has nodes with several parents
 
 
@@ -241,6 +239,18 @@ def test_decompose_rejects_negative_listing_cap(gamma_ex):
         decompose(gamma_ex, Fraction(-1), x, max_listed=-1)
 
 
+def test_decompose_rejects_a_lattice_of_another_game(gamma_ex, gamma_d):
+    # Each lattice's root measure is no SEPM of the other reweighted game:
+    # its length or its cap differs.
+    x_ex, _ = enumerate_lattice(gamma_ex, Fraction(-1))
+    x_d, _ = enumerate_lattice(gamma_d, Fraction(0))
+    for arena, nu, x in [(gamma_ex, Fraction(-1), x_d),
+                         (gamma_d, Fraction(1), x_d),
+                         (gamma_d, Fraction(0), x_ex)]:
+        with pytest.raises(ValueError, match="another game or nu"):
+            decompose(arena, nu, x)
+
+
 def test_decompose_forced_arena():
     a = Arena(["p", "q"], [0, 1], [(0, 1, 1), (1, 0, -1)])
     x, _ = enumerate_lattice(a, Fraction(0))
@@ -319,6 +329,30 @@ def random_classes():
         games += [(cls.subgame, cls.nu)
                   for cls in ergodic_partition(a, solve_values(a))]
     return games
+
+
+def test_node_keys_share_slots_and_match_their_masks(gamma_d,
+                                                   random_classes):
+    # A child's key is its first parent's with the cut vertex's slot
+    # replaced, and shares every other slot with it; a node's removed arcs
+    # are the arcs its mask drops.
+    games = [(gamma_d, Fraction(0))] + random_classes
+    children = 0
+    for sub, nu in games:
+        _, b = enumerate_lattice(sub, nu)
+        for node in b.nodes:
+            kept = apply_mask(sub, node.mask)
+            assert node.removed_arcs(sub) == [
+                (u, v) for u, v, _ in sub.arcs() if v not in dict(kept.out[u])]
+            if not node.parent_ids:
+                continue
+            parent = b.nodes[node.parent_ids[0]]
+            same = [mine is theirs
+                    for mine, theirs in zip(node.key, parent.key)]
+            assert same.count(False) == 1
+            assert node.key[same.index(False)] != parent.key[same.index(False)]
+            children += 1
+    assert children > len(games)
 
 
 @pytest.mark.parametrize("max_listed", [16, None])
