@@ -18,12 +18,11 @@ p with f(p) < x (-) w(p,u), so exactly those predecessors are enqueued.
 The least SEPM's finite region is Player 0's winning region in the
 energy game.
 
-Two rules, after accelerated lifting (Dorfman, Kaplan & Zwick, ICALP
-2019), cut the climbs whose lifts grow with W.  A negative self-loop never
-holds at a finite value, so the lifting loop reads it as a top successor
-instead of climbing it |w| at a time (proof at ``_lift_target``).  A
-region that climbs around longer negative cycles is raised to its exits,
-or to top, in one jump (``_jump``, proof at ``least_sepm``).
+One acceleration, after accelerated lifting (Dorfman, Kaplan & Zwick,
+ICALP 2019), cuts the climbs whose lifts grow with W: a region that
+climbs around negative cycles, negative self-loops among them, is raised
+to its exits, or to top, in one jump (``_jump``, proof at
+``least_sepm``).
 """
 
 from __future__ import annotations
@@ -107,29 +106,17 @@ class EnergyFunction:
 def _lift_target(arena, f, cap, u):
     """Smallest value at u satisfying its progress condition under f.
 
-    One plain pass over u's arcs.  The clamp to [0, cap] and top is
-    monotone, so it is taken once, of the min (Player 0) or the max
-    (Player 1) of f(v) - w: a top successor is skipped by Player 0 and
+    One plain pass over u's arcs: the operator T.  The clamp to [0, cap]
+    and top is monotone, so it is taken once, of the min (Player 0) or the
+    max (Player 1) of f(v) - w: a top successor is skipped by Player 0 and
     sends a Player-1 vertex to top.
-
-    Self-loop rule: a negative self-loop (u, u, w) counts as a top
-    successor.  At a finite f(u) it asks f(u) >= f(u) + |w|, which no
-    finite value meets, so the plain operator T would only climb u by
-    |w| per lift.  The operator T' of this rule is monotone and T' >= T,
-    so lfp(T') >= lfp(T).  And lfp(T) = f* is a pre-fixpoint of T': at a
-    finite f*(u), T(f*)(u) <= f*(u) is met by an arc that is not a
-    negative self-loop, so T'(f*)(u) = T(f*)(u) at a Player-0 u, and a
-    Player-1 u has no negative self-loop at all; at a top f*(u) there is
-    nothing to show.  So lfp(T') <= f*, and both least fixpoints are f*.
-    The rule changes no progress condition either: f(u) >= T'(f)(u) iff
-    f(u) >= T(f)(u).
     """
     top = cap + 1
     if arena.owner[u] == 0:
         best = top
         for v, w in arena.out[u]:
             x = f[v]
-            if x < top and (v != u or w >= 0):
+            if x < top:
                 x -= w
                 if x < best:
                     best = x
@@ -137,7 +124,7 @@ def _lift_target(arena, f, cap, u):
         best = 0
         for v, w in arena.out[u]:
             x = f[v]
-            if x == top or (v == u and w < 0):
+            if x == top:
                 return top
             x -= w
             if x > best:
@@ -164,11 +151,12 @@ def _jump(arena, f, top, region):
         kept = []
         low = top
         if arena.owner[v]:
-            # one arc: the best finite one, as an exit if it leaves S
+            # one arc: the best finite one, as an exit if it leaves S,
+            # but never a self-loop of weight >= 0
             arc = None
             for x, w in arena.out[v]:
                 y = f[x]
-                if (y < top and (x != v or w >= 0)
+                if (y < top and (x != v or w < 0)
                         and (arc is None or y - w > low)):
                     arc, low = (x, w), y - w
             if arc is not None and member[arc[0]]:
@@ -177,7 +165,7 @@ def _jump(arena, f, top, region):
         else:
             for x, w in arena.out[v]:
                 y = f[x]
-                if y < top and (x != v or w >= 0):
+                if y < top:
                     if member[x]:
                         kept.append((x, w))
                     elif y - w < low:
@@ -266,8 +254,7 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     p of u that is not queued and has ``f[p] < target (-) w(p, u)`` is
     enqueued; this covers u's own self-loop too.  A popped vertex is lifted
     only if it is still violated, since a Player-0 vertex may be satisfied
-    by another arc.  Lift targets follow the self-loop rule of
-    ``_lift_target``, so a negative self-loop never climbs.
+    by another arc.
 
     ``cut`` names the one vertex the seed may violate: the seed must meet
     the progress condition at every other vertex, as a parent's least SEPM
@@ -284,8 +271,8 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     waits until the call has made |S| lifts since the last jump:
     - vertices outside S read as the constants f(v);
     - each Player-1 vertex of S keeps one arc, its best finite one under
-      f (none: it reads top), and each Player-0 vertex keeps its arcs to
-      finite vertices but its negative self-loops;
+      f that is not a self-loop of weight >= 0 (none: it reads top), and
+      each Player-0 vertex keeps all its arcs to finite vertices;
     - vertices of S that reach a cycle of weight >= 0 over the kept arcs
       stay at f (Bellman-Ford on the weights -(n+1)*w - 1, whose
       negative cycles are exactly those cycles);
@@ -298,10 +285,18 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     part of S, every other vertex held at f, with the clamp of a lift.
     G is monotone and G(f*) <= f*: a held vertex reads f <= f*, an arc
     that leaves S reads f(x) - w <= f*(x) - w, an arc dropped for a top
-    f(x) ends at a top f*(x), and a Player-1 vertex keeps fewer arcs.
-    So lfp(G) <= f*.  Every cycle of the relaxed part is negative, so at
-    a fixpoint of G each finite value is met along a path to an exit, and
-    G has one fixpoint, which the relaxation from top reaches:
+    f(x) ends at a top f*(x), and a Player-1 vertex that keeps any one
+    arc reads at most T(f*) = f*, T the operator of ``_lift_target``.  A
+    Player-1 vertex v of S with no candidate arc reads top, and rightly:
+    v was lifted, so it has an arc other than a self-loop of weight >= 0,
+    and each such arc then ends at a top f, so f*(v) is top.  Skipping
+    those self-loops keeps a tie from freezing the region: kept at v, a
+    0-weight self-loop would close a cycle of weight >= 0 and hold v at
+    f, to climb one lift at a time.  A negative self-loop stays a
+    candidate: kept, it relaxes v to top.  So lfp(G) <= f*.  Every cycle
+    of the relaxed part is negative, so at a fixpoint of G each finite
+    value is met along a path to an exit, and G has one fixpoint, which
+    the relaxation from top reaches:
     g = lfp(G) <= f*.
     Hence f stays below f*, every violated vertex stays queued, and the
     loop still ends at f*.  The first jump waits for a vertex's third

@@ -126,45 +126,47 @@ def test_least_sepm_is_sepm_and_matches_kleene():
 
 
 def test_least_sepm_self_loop_climb():
-    # P0 vertex with only a negative self-loop and a cheap escape must
-    # climb past neither: it takes the escape, in one lift
+    # P0 vertex with a negative self-loop and a cheap escape climbs the
+    # self-loop only until the escape is as cheap: two lifts
     a = Arena(["p", "q"], [0, 1], [(0, 0, -1), (0, 1, -2), (1, 1, 0)])
     counter = [0]
     f = least_sepm(a, lift_counter=counter)
     assert f.values == (2, 0)
-    assert counter == [1]
+    assert counter[0] <= 2
     # without the escape the self-loop pumps the value to top
     b = Arena(["p"], [0], [(0, 0, -1)])
     counter = [0]
     fb = least_sepm(b, lift_counter=counter)
     assert not fb.all_finite()
-    assert counter == [1]
+    assert counter[0] <= 2
     # a P1 vertex must answer every arc: a zero self-loop costs nothing,
     # so it settles at its escape's requirement ...
     c = Arena(["p", "q"], [1, 1], [(0, 0, 0), (0, 1, -2), (1, 1, 0)])
     counter = [0]
     assert least_sepm(c, lift_counter=counter).values == (2, 0)
-    assert counter == [1]
-    # ... while a negative self-loop pumps it to top despite the escape,
-    # in one lift straight to top
+    assert counter[0] <= 2
+    # ... while a negative self-loop pumps it to top despite the escape
     d = Arena(["p", "q"], [1, 0], [(0, 0, -1), (0, 1, 0), (1, 1, 0)])
     counter = [0]
     fd = least_sepm(d, lift_counter=counter)
     assert fd.is_top(0) and fd.values[1] == 0
-    assert counter == [1]
+    assert counter[0] <= 2
 
 
 def test_losing_cycles_go_to_top_at_a_large_cap():
-    # a (Player 1) pumps its -1 self-loop; the +1000 arcs raise the cap
-    # K to 1000, and the self-loop rule sends a straight to top
-    a = Arena(["a", "b"], [1, 0], [(0, 0, -1), (0, 1, 1000), (1, 1, 1000)])
-    counter = [0]
-    f = least_sepm(a, lift_counter=counter)
-    assert f.cap == 1000
-    assert f.values == (f.cap + 1, 0)
-    assert counter[0] <= 2
-    # the same loss around the two-cycle a -> c -> a, which no self-loop
-    # rule sees: a jump sends it to top whatever the cap
+    # a (Player 1) pumps its -1 self-loop; the +W arcs raise the cap K to
+    # W, and a jump sends a to top in as many lifts at every W
+    counts = set()
+    for w in (7, 10**3, 10**6, 10**12):
+        a = Arena(["a", "b"], [1, 0], [(0, 0, -1), (0, 1, w), (1, 1, w)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.cap == w
+        assert f.values == (f.cap + 1, 0)
+        counts.add(counter[0])
+    assert len(counts) == 1 and max(counts) <= 4
+    # the same loss around the two-cycle a -> c -> a: a jump sends it to
+    # top whatever the cap
     for w in (10**3, 10**6, 10**12):
         a = Arena(["a", "b", "c"], [1, 0, 0],
                   [(0, 1, w), (0, 2, -1), (1, 1, w), (2, 0, 0)])
@@ -178,14 +180,32 @@ def test_losing_cycles_go_to_top_at_a_large_cap():
 def test_value_at_the_cap_stays_finite():
     # the gadget u -> u (-1), u -> x (-W), x -> x (0) has least SEPM
     # u = W, which equals the cap K = (|V|-1)*W: a lift to exactly K is
-    # finite; u never climbs its self-loop, so that takes one lift at any W
-    for w in (7, 10**6):
+    # finite; a jump raises u from its self-loop to its exit, so that
+    # takes as many lifts at every W
+    counts = set()
+    for w in (7, 10**3, 10**6, 10**12):
         a = Arena(["u", "x"], [0, 0], [(0, 0, -1), (0, 1, -w), (1, 1, 0)])
         counter = [0]
         f = least_sepm(a, lift_counter=counter)
         assert f.values == (w, 0)
         assert f.all_finite()
-        assert counter[0] <= 1
+        counts.add(counter[0])
+    assert len(counts) == 1 and max(counts) <= 4
+
+
+def test_a_tie_with_a_zero_self_loop_does_not_freeze_a_jump():
+    # a (Player 1) ties between its 0 self-loop and a -> c (-1), whose
+    # cycle a -> c -> a loses 1 per round.  A jump that kept the self-loop
+    # would hold a on a cycle of weight 0 and climb 4W + 2 lifts to top.
+    counts = set()
+    for w in (10**3, 10**4, 10**5):
+        a = Arena(["a", "c", "z"], [1, 1, 0],
+                  [(0, 0, 0), (0, 1, -1), (1, 0, 0), (1, 2, w), (2, 2, w)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.values == (f.cap + 1, f.cap + 1, 0)
+        counts.add(counter[0])
+    assert len(counts) == 1 and max(counts) <= 8
 
 
 def skew(arena, factor):
@@ -220,8 +240,8 @@ def test_lifting_matches_kleene_with_tops():
     assert tops > 100 and finite > 50
     # positive weights x1000 raise K far above the credit bound B of the
     # per-lift reference, so a top vertex reaches top there by B and here
-    # by the self-loop rule or a jump.  Kleene climbs to K too slowly to
-    # be the reference at this scale.
+    # by a jump.  Kleene climbs to K too slowly to be the reference at
+    # this scale.
     tops = 0
     for seed in range(300):
         rng = random.Random(seed)
@@ -514,3 +534,39 @@ def test_jumps_match_the_per_lift_loop_on_larger_arenas(monkeypatch):
             cases += 1
     assert cases > 300
     assert 10 * jumped[0] < plain[0]
+
+
+def zero_arc_arena(seed):
+    """A random arena, reweighted, with many 0 arcs and short self-loops."""
+    rng = random.Random(seed * 7919 + 1)
+    n = rng.randint(3, 30)
+    base = gen_random_arena(n, rng.randint(2, 4), rng.randint(1, 5),
+                            90000 + seed)
+    arcs = [(u, v, 0 if rng.random() < 0.2 else w)
+            for u, v, w in base.arcs()]
+    for u in range(n):
+        if all(v != u for v, _ in base.out[u]) and rng.random() < 0.3:
+            arcs.append((u, u, rng.choice((0, 0, -1, -2, 1))))
+    return reweight(Arena(base.names, base.owner, arcs),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def test_lifts_do_not_grow_with_the_weights():
+    # ties at 0 arcs and 0 self-loops, with positive weights x10^3 and
+    # x10^5: roots and seeded one-row children make as many lifts at both
+    # scales, and the measures at x10^3 match the per-lift reference
+    for seed in range(300):
+        a = zero_arc_arena(seed)
+        counts = []
+        for factor in (10**3, 10**5):
+            b = skew(a, factor)
+            counter = [0]
+            f = least_sepm(b, lift_counter=counter)
+            if factor == 10**3:
+                assert f == per_lift_least_sepm(b)
+            for u, child in one_row_children(b, f):
+                g = least_sepm(child, seed=f, cut=u, lift_counter=counter)
+                if factor == 10**3:
+                    assert g == per_lift_least_sepm(child, seed=f, cut=u)
+            counts.append(counter[0])
+        assert counts[0] == counts[1], seed
