@@ -1,12 +1,12 @@
 """Game values, the ergodic partition, and optimal strategy synthesis.
 
 Every vertex value is the mean weight of some simple cycle, hence a
-candidate k + a/b with |k| <= W and a/b a Farey fraction in [0, 1) of
-order |V| (Zwick & Paterson, TCS 1996).  Values are found by bisection over
-the indices of the sorted candidates: the probe "does Player 0 win the
-energy game on the arena reweighted by nu?" answers val(v) >= nu for every
-vertex at once, so one winning-region computation serves a whole group of
-vertices, and each probe nu, a candidate itself, has denominator <= |V|.
+candidate: a fraction in [-W, W] with denominator <= |V| (Zwick & Paterson,
+TCS 1996).  Values are found by bisection over the candidates: the probe
+"does Player 0 win the energy game on the arena reweighted by nu?" answers
+val(v) >= nu for every vertex at once, so one winning-region computation
+serves a whole group of vertices.  Each probe nu is the candidate nearest
+the middle of its group's interval, so its denominator is <= |V| as well.
 
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
@@ -71,41 +71,28 @@ class ErgodicClass:
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))
 
 
-def _farey(n):
-    """Fractions a/b in [0, 1) with b <= n, ascending, as (a, b) pairs."""
-    fracs = [(0, 1)]
-    a, b, c, d = 0, 1, 1, n
-    while c < d:
-        fracs.append((c, d))
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return fracs
-
-
 def solve_values(arena):
     """Exact game value of every vertex.
 
-    Candidate i is (i // |F| - W) + F[i % |F|] for the Farey fractions F.
-    Invariant per group: cand(lo) <= val(v) < cand(hi) for all members; a
-    probe at cand(mid) splits the group by the reweighted winning region.
+    Invariant per group: lo <= val(v) < hi for all members, where lo and
+    hi are fractions with denominator <= |V|; it starts at [-W, W + 1).
+    The probe mid is the candidate nearest the middle of the interval
+    (ties either way) and splits the group by the reweighted winning
+    region.  Every point strictly inside the interval is nearer the middle
+    than lo and hi are, so mid is lo or hi only when no candidate lies
+    strictly between them; then val(v) = lo, itself a candidate.
     """
-    farey = _farey(arena.n)
-
-    def cand(i):
-        k, r = divmod(i, len(farey))
-        a, b = farey[r]
-        return Fraction(a + (k - arena.W) * b, b)
-
     vals = [None] * arena.n
-    groups = [(list(range(arena.n)), 0, (2 * arena.W + 1) * len(farey))]
+    groups = [(list(range(arena.n)), Fraction(-arena.W),
+               Fraction(arena.W + 1))]
     while groups:
         members, lo, hi = groups.pop()
-        if hi - lo == 1:
+        mid = ((lo + hi) / 2).limit_denominator(arena.n)
+        if mid == lo or mid == hi:
             for u in members:
-                vals[u] = cand(lo)
+                vals[u] = lo
             continue
-        mid = (lo + hi) // 2
-        w0, _ = energy.winning_regions(reweight(arena, cand(mid)))
+        w0, _ = energy.winning_regions(reweight(arena, mid))
         winners = [u for u in members if u in w0]
         losers = [u for u in members if u not in w0]
         if winners:

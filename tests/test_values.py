@@ -1,10 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from mpgsolver import (Arena, InternalError, ValueAssignment, compatible_arcs,
                        ergodic_partition, is_optimal, least_sepm, parse_arena,
-                       reweight, solve_values, synthesize_optimal)
+                       reweight, solve_values, synthesize_optimal,
+                       winning_regions)
 from mpgsolver.oracle import exhaustive_opt, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
 
@@ -18,6 +20,11 @@ def test_solve_values_self_loop():
     for c in (-3, 0, 7):
         a = Arena(["x"], [0], [(0, 0, c)])
         assert solve_values(a).vals == (Fraction(c),)
+    # W = 0 and n = 5: the search ends on [0, 1/5), whose middle 1/10 is
+    # as near 0 as 1/5 and so ties in limit_denominator
+    a = Arena(["x%d" % i for i in range(5)], [i % 2 for i in range(5)],
+              [(i, (i + 1) % 5, 0) for i in range(5)])
+    assert solve_values(a).vals == (Fraction(0),) * 5
 
 
 def test_solve_values_gamma_d(gamma_d):
@@ -39,7 +46,7 @@ def test_solve_values_fractional():
 
 def test_solve_values_largest_candidate_below_w():
     # an n-cycle of weights W, ..., W, W - 1 has mean (nW - 1)/n
-    for n, w in ((2, 1), (3, 1), (4, 3), (7, 10)):
+    for n, w in ((2, 1), (3, 1), (4, 3), (7, 10), (800, 1)):
         arcs = [(i, (i + 1) % n, w - (i == n - 1)) for i in range(n)]
         a = Arena(["x%d" % i for i in range(n)], [i % 2 for i in range(n)],
                   arcs)
@@ -54,6 +61,69 @@ def test_values_match_oracle_and_small_denominators():
             oracle_vals, _ = exhaustive_opt(a)
             assert vals == oracle_vals
             assert all(v.denominator <= a.n for v in vals.vals)
+
+
+def test_solve_values_memory_does_not_grow_with_the_candidates():
+    # the 800-cycle of weights 1, ..., 1, 0 has value 799/800, the largest
+    # candidate below 1; a table of every candidate in [0, 1) would hold
+    # about 195,000 fractions here, over 20 MiB
+    n = 800
+    a = Arena(["x%d" % i for i in range(n)], [0] * n,
+              [(i, (i + 1) % n, int(i < n - 1)) for i in range(n)])
+    tracemalloc.start()
+    try:
+        solve_values(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+# The bisection that solve_values replaced: it indexed every candidate
+# k + a/b, |k| <= W, through a table of the Farey fractions of order |V|.
+def farey(n):
+    fracs = [(0, 1)]
+    a, b, c, d = 0, 1, 1, n
+    while c < d:
+        fracs.append((c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return fracs
+
+
+def farey_solve_values(arena):
+    table = farey(arena.n)
+
+    def cand(i):
+        k, r = divmod(i, len(table))
+        a, b = table[r]
+        return Fraction(a + (k - arena.W) * b, b)
+
+    vals = [None] * arena.n
+    groups = [(list(range(arena.n)), 0, (2 * arena.W + 1) * len(table))]
+    while groups:
+        members, lo, hi = groups.pop()
+        if hi - lo == 1:
+            for u in members:
+                vals[u] = cand(lo)
+            continue
+        mid = (lo + hi) // 2
+        w0, _ = winning_regions(reweight(arena, cand(mid)))
+        winners = [u for u in members if u in w0]
+        losers = [u for u in members if u not in w0]
+        if winners:
+            groups.append((winners, mid, hi))
+        if losers:
+            groups.append((losers, lo, mid))
+    return ValueAssignment(vals)
+
+
+def test_values_match_the_farey_bisection_on_larger_arenas():
+    for n, seeds in ((30, (1, 2)), (60, (1, 2)), (100, (1, 2)), (200, (1,))):
+        for w in (1, 10, 1000):
+            for seed in seeds:
+                a = gen_random_arena(n, 3, w, seed)
+                assert solve_values(a) == farey_solve_values(a)
 
 
 def test_every_probe_is_a_candidate(data_dir, monkeypatch):
