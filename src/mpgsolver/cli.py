@@ -11,6 +11,7 @@ running a command twice on the same input produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -247,6 +248,7 @@ def _nonnegative_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mpg",

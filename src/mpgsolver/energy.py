@@ -141,12 +141,13 @@ def _jump(arena, f, top, region):
     order.  The construction and its proof are in ``least_sepm``.
     """
     n = arena.n
+    scale = n + 1
     inside = [v for v in region if f[v] < top]  # S
     member = [False] * n
     for v in inside:
         member[v] = True
-    arcs = [()] * n  # v -> its kept arcs (x, w) with x in S
-    g = [top] * n  # starts at the clamp of v's least exit f(x) - w
+    arcs = [()] * n  # v -> its kept arcs (x, (n+1)*w + 1) with x in S
+    d = [0] * n  # (n+1)*g, from the clamp of v's least exit f(x) - w
     for v in inside:
         kept = []
         low = top
@@ -160,43 +161,41 @@ def _jump(arena, f, top, region):
                         and (arc is None or y - w > low)):
                     arc, low = (x, w), y - w
             if arc is not None and member[arc[0]]:
-                kept.append(arc)
+                kept.append((arc[0], scale * arc[1] + 1))
                 low = top
         else:
             for x, w in arena.out[v]:
                 y = f[x]
                 if y < top:
                     if member[x]:
-                        kept.append((x, w))
+                        kept.append((x, scale * w + 1))
                     elif y - w < low:
                         low = y - w
         arcs[v] = kept
-        g[v] = 0 if low <= 0 else min(low, top)
-    # Freeze each vertex that reaches a cycle of weight >= 0, that is a
-    # negative cycle of -(n+1)*w - 1: after |S| rounds of Bellman-Ford to
-    # a zero virtual sink, some vertex of each such cycle still relaxes.
-    scale = -(n + 1)
-    d = [0] * n
+        # top reads 2*top: what falls from it over < |S| arcs reads top
+        d[v] = 0 if low <= 0 else scale * (low if low < top else 2 * top)
+    # Bellman-Ford down from the exits, for at most |S| rounds
     changed = False
     for _ in inside:
         changed = False
         for v in inside:
-            for x, w in arcs[v]:
-                c = d[x] + scale * w - 1
-                if c < d[v]:
-                    d[v] = c
+            for x, s in arcs[v]:
+                c = d[x] - s
+                if c < d[v] > 0:
+                    d[v] = c if c > 0 else 0
                     changed = True
         if not changed:
             break
     live = inside
     if changed:
+        # freeze each vertex still falling, and all that reach one
         frozen = [False] * n
         back = [[] for _ in range(n)]
         stack = []
         for v in inside:
-            for x, w in arcs[v]:
+            for x, s in arcs[v]:
                 back[x].append(v)
-                if not frozen[v] and d[x] + scale * w - 1 < d[v]:
+                if not frozen[v] and d[x] - s < d[v] > 0:
                     frozen[v] = True
                     stack.append(v)
         while stack:
@@ -205,24 +204,11 @@ def _jump(arena, f, top, region):
                     frozen[p] = True
                     stack.append(p)
         live = [v for v in inside if not frozen[v]]
-    # Every cycle left is negative: relax g down from top, in rounds.
-    changed = True
-    while changed:
-        changed = False
-        for v in live:
-            low = top
-            for x, w in arcs[v]:
-                y = g[x]
-                if y < top and y - w < low:
-                    low = y - w
-            if low < 0:
-                low = 0
-            if low < g[v]:
-                g[v] = low
-                changed = True
-    raised = [v for v in live if g[v] > f[v]]
+    for v in live:
+        d[v] = min(top, -(-d[v] // scale))  # g
+    raised = [v for v in live if d[v] > f[v]]
     for v in raised:
-        f[v] = g[v]
+        f[v] = d[v]
     return raised
 
 
@@ -267,37 +253,47 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     at 4, 8, 16, ..., the region S of finite vertices lifted so far in
     this call is raised in one step to a lower bound g of the least SEPM
     f* (``_jump``), instead of climbing around its negative cycles one
-    lift at a time.  A jump passes over S several times, so it also
+    lift at a time.  A jump passes over S up to |S| times, so it also
     waits until the call has made |S| lifts since the last jump:
     - vertices outside S read as the constants f(v);
     - each Player-1 vertex of S keeps one arc, its best finite one under
       f that is not a self-loop of weight >= 0 (none: it reads top), and
       each Player-0 vertex keeps all its arcs to finite vertices;
-    - vertices of S that reach a cycle of weight >= 0 over the kept arcs
-      stay at f (Bellman-Ford on the weights -(n+1)*w - 1, whose
-      negative cycles are exactly those cycles);
-    - on the rest of S, g is relaxed down from top: g(v) is the clamp of
-      the least f(x) - w over v's kept arcs that leave S and g(x) - w
-      over those inside S;
-    - f becomes max(f, g), and the predecessors of each raised vertex
-      are queued by the rule that follows a lift.
-    This is exact.  Let G be the operator of the kept arcs on the relaxed
-    part of S, every other vertex held at f, with the clamp of a lift.
-    G is monotone and G(f*) <= f*: a held vertex reads f <= f*, an arc
-    that leaves S reads f(x) - w <= f*(x) - w, an arc dropped for a top
-    f(x) ends at a top f*(x), and a Player-1 vertex that keeps any one
-    arc reads at most T(f*) = f*, T the operator of ``_lift_target``.  A
-    Player-1 vertex v of S with no candidate arc reads top, and rightly:
-    v was lifted, so it has an arc other than a self-loop of weight >= 0,
-    and each such arc then ends at a top f, so f*(v) is top.  Skipping
-    those self-loops keeps a tie from freezing the region: kept at v, a
-    0-weight self-loop would close a cycle of weight >= 0 and hold v at
-    f, to climb one lift at a time.  A negative self-loop stays a
-    candidate: kept, it relaxes v to top.  So lfp(G) <= f*.  Every cycle
-    of the relaxed part is negative, so at a fixpoint of G each finite
-    value is met along a path to an exit, and G has one fixpoint, which
-    the relaxation from top reaches:
-    g = lfp(G) <= f*.
+    - d = (n+1)*g starts at (n+1) times v's least exit f(x) - w over the
+      kept arcs that leave S: at 0 when that is <= 0, and at (n+1)*2*top
+      when it is >= top or v has no exit;
+    - Bellman-Ford over the kept arcs inside S lowers d(v) to
+      max(0, d(x) - (n+1)*w - 1), for up to |S| rounds, fewer when a
+      round changes nothing;
+    - a vertex still falling after |S| rounds stays at f, and so does
+      every vertex that reaches one over the kept arcs;
+    - on the rest L of S, g = min(top, ceil(d / (n+1))), f becomes
+      max(f, g), and the predecessors of each raised vertex are queued by
+      the rule that follows a lift.
+    This is exact.  Let G be the operator of the kept arcs on L, which
+    they never leave, every vertex outside S held at f, with the clamp of
+    a lift.  G is monotone and G(f*) <= f*: a held vertex reads f <= f*,
+    an arc that leaves S reads f(x) - w <= f*(x) - w, an arc dropped for
+    a top f(x) ends at a top f*(x), and a Player-1 vertex that keeps any
+    one arc reads at most T(f*) = f*, T the operator of
+    ``_lift_target``.  A Player-1 vertex v of S with no candidate arc
+    reads top, and rightly: v was lifted, so it has an arc other than a
+    self-loop of weight >= 0, and each such arc then ends at a top f, so
+    f*(v) is top.  Skipping those self-loops keeps a tie from freezing
+    the region: kept at v, a 0-weight self-loop would keep v falling and
+    hold it at f, to climb one lift at a time.  A negative self-loop
+    stays a candidate: kept, it leaves v at top.  So lfp(G) <= f*.  Let
+    G' be G with top read as the number 2*top, capped there; with
+    pi(x) = min(x, top), pi o G' <= G o pi, so pi(lfp(G')) <= lfp(G)
+    over the iterates from 0.  Let h = lfp(G') and E = d - (n+1)*h.  No
+    kept arc of L relaxes d, so at the exit or arc that attains h(v),
+    E(v) <= 0 or E(v) <= max(0, E(x) - 1): from a positive E(v), E would
+    rise without end along those arcs on the finite L.  So E <= 0 and
+    g <= pi(h) <= f*, whatever the signs of the cycles: one of weight
+    >= 0 falls to d = 0, which is sound, or is still falling after |S|
+    rounds and is held.  Starting at 2*top keeps each value reached over
+    fewer than |S| arcs above the cap, where it reads top, as an
+    absorbing top would; a start at top is as sound, but raises less.
     Hence f stays below f*, every violated vertex stays queued, and the
     loop still ends at f*.  The first jump waits for a vertex's third
     lift: on lattice children, jumping at the second costs more than it

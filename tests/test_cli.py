@@ -7,7 +7,7 @@ import pytest
 
 from mpgsolver import energy, lattice as lattice_mod
 from mpgsolver import values as values_mod
-from mpgsolver.cli import main
+from mpgsolver.cli import build_parser, main
 from mpgsolver.errors import InternalError
 
 
@@ -137,6 +137,20 @@ def test_enum_byte_identical_across_runs(data_dir, run_cli_process):
     second = run_cli_process("enum", path)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_in_process_calls_print_what_fresh_processes_print(
+        capsys, data_dir, run_cli_process):
+    # the parser is built once per process: a call must not see the
+    # subcommand or the options of the call before it
+    assert build_parser() is build_parser()
+    for argv in (("solve", str(data_dir / "gamma_ex.mpg"), "--format", "json"),
+                 ("enum", str(data_dir / "gamma_d.mpg")),
+                 ("ttpg", str(data_dir / "gamma_ex.mpg"), "--format", "json")):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = run_cli_process(*argv, text=True)
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
 
 
 def test_ttpg_k0_zero_row(capsys, data_dir):

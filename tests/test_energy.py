@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mpgsolver import (Arena, EnergyFunction, SubgameMask, apply_mask,
-                       arena_cap, compatible_arcs, ergodic_partition,
+                       arena_cap, compatible_arcs, energy, ergodic_partition,
                        incompatible_arcs, is_sepm, least_sepm, ominus,
                        reweight, solve_values, winning_regions)
 from mpgsolver.errors import InternalError
@@ -570,3 +570,177 @@ def test_lifts_do_not_grow_with_the_weights():
                     assert g == per_lift_least_sepm(child, seed=f, cut=u)
             counts.append(counter[0])
         assert counts[0] == counts[1], seed
+
+
+# The region jump before the one-pass Bellman-Ford, kept as the reference
+# that the jumps must cover: a freeze test of |S| rounds on the weights
+# -(n+1)*w - 1, which holds every vertex that reaches a cycle of weight
+# >= 0 at f, then a relaxation of g down from an absorbing top.
+def two_pass_jump(arena, f, top, region):
+    n = arena.n
+    inside = [v for v in region if f[v] < top]
+    member = [False] * n
+    for v in inside:
+        member[v] = True
+    arcs = [()] * n
+    g = [top] * n
+    for v in inside:
+        kept = []
+        low = top
+        if arena.owner[v]:
+            arc = None
+            for x, w in arena.out[v]:
+                y = f[x]
+                if (y < top and (x != v or w < 0)
+                        and (arc is None or y - w > low)):
+                    arc, low = (x, w), y - w
+            if arc is not None and member[arc[0]]:
+                kept.append(arc)
+                low = top
+        else:
+            for x, w in arena.out[v]:
+                y = f[x]
+                if y < top:
+                    if member[x]:
+                        kept.append((x, w))
+                    elif y - w < low:
+                        low = y - w
+        arcs[v] = kept
+        g[v] = 0 if low <= 0 else min(low, top)
+    scale = -(n + 1)
+    d = [0] * n
+    changed = False
+    for _ in inside:
+        changed = False
+        for v in inside:
+            for x, w in arcs[v]:
+                c = d[x] + scale * w - 1
+                if c < d[v]:
+                    d[v] = c
+                    changed = True
+        if not changed:
+            break
+    live = inside
+    if changed:
+        frozen = [False] * n
+        back = [[] for _ in range(n)]
+        stack = []
+        for v in inside:
+            for x, w in arcs[v]:
+                back[x].append(v)
+                if not frozen[v] and d[x] + scale * w - 1 < d[v]:
+                    frozen[v] = True
+                    stack.append(v)
+        while stack:
+            for p in back[stack.pop()]:
+                if not frozen[p]:
+                    frozen[p] = True
+                    stack.append(p)
+        live = [v for v in inside if not frozen[v]]
+    changed = True
+    while changed:
+        changed = False
+        for v in live:
+            low = top
+            for x, w in arcs[v]:
+                y = g[x]
+                if y < top and y - w < low:
+                    low = y - w
+            if low < 0:
+                low = 0
+            if low < g[v]:
+                g[v] = low
+                changed = True
+    raised = [v for v in live if g[v] > f[v]]
+    for v in raised:
+        f[v] = g[v]
+    return raised
+
+
+def jump_from_zero(arena, region):
+    """(raised, f) of one jump over ``region`` from f = 0, and the same
+    of ``two_pass_jump``."""
+    top = arena_cap(arena) + 1
+    f, ref = [0] * arena.n, [0] * arena.n
+    return ((energy._jump(arena, f, top, region), f),
+            (two_pass_jump(arena, ref, top, region), ref))
+
+
+def test_jump_raises_past_a_zero_self_loop_that_reaches_an_exit():
+    # z's 0 self-loop is a cycle of weight >= 0, but z's exit to t needs
+    # nothing, so u must be raised to f*(u) = 3; the freeze test held u
+    a = Arena(["u", "z", "t"], [0, 0, 0],
+              [(0, 1, -3), (0, 2, -10), (1, 1, 0), (1, 2, 5), (2, 2, 0)])
+    (raised, f), (old, ref) = jump_from_zero(a, [0, 1])
+    assert raised == [0] and f == [3, 0, 0]
+    assert f[0] == least_sepm(a).values[0]
+    assert old == [] and ref == [0, 0, 0]
+
+
+def test_jump_reads_top_as_twice_top():
+    # b -> c -> b loses 1 a round, so b, c and a, which pays 5 to reach
+    # b, are all top; a start at top would leave a at top - 5
+    a = Arena(["a", "b", "c"], [0, 0, 0], [(0, 1, 5), (1, 2, -1), (2, 1, 0)])
+    (raised, f), (old, ref) = jump_from_zero(a, [0, 1, 2])
+    top = arena_cap(a) + 1
+    assert raised == old == [0, 1, 2]
+    assert f == ref == [top] * 3
+
+
+def test_jump_holds_an_exitless_zero_cycle():
+    # p <-> q of weight 0 has no exit and f* = 0: it falls in every round
+    # and is held at f, where an absorbing top would send it to top
+    a = Arena(["p", "q"], [0, 0], [(0, 1, 0), (1, 0, 0)])
+    (raised, f), (old, ref) = jump_from_zero(a, [0, 1])
+    assert raised == old == [] and f == ref == [0, 0]
+    assert least_sepm(a).values == (0, 0)
+
+
+def tie_fuzz_arena(seed, nmax=10, w=1000):
+    """A random arena of 0, +-1 and +-W arcs, whose Player-1 ties can
+    close a cycle of weight 0."""
+    r = random.Random(seed)
+    n = r.randint(3, nmax)
+    owner = [r.randint(0, 1) for _ in range(n)]
+    arcs = {}
+    for u in range(n):
+        for _ in range(r.randint(1, 3)):
+            v, weight = r.randrange(n), r.choice((0, 0, 0, -1, 1, w, -w))
+            arcs.setdefault((u, v), weight)
+    return Arena(["x%d" % u for u in range(n)], owner,
+                 [(u, v, weight) for (u, v), weight in arcs.items()])
+
+
+def test_one_pass_jump_covers_the_two_pass_jump(monkeypatch):
+    # every jump of the corpus probes, of 300 zero-arc arenas and of 500
+    # tie-fuzz arenas, roots and seeded one-row children, raises every
+    # vertex the two-pass jump raises, to the same value
+    real = energy._jump
+    calls = [0]
+
+    def checked(arena, f, top, region):
+        ref = list(f)
+        old = two_pass_jump(arena, ref, top, region)
+        raised = real(arena, f, top, region)
+        assert set(old) <= set(raised)
+        assert all(f[v] == ref[v] for v in old)
+        calls[0] += 1
+        return raised
+
+    monkeypatch.setattr(energy, "_jump", checked)
+    for seed in range(200):
+        solve_values(gen_random_arena(6, 3, 4, seed))
+    for seed in range(300):
+        a = zero_arc_arena(seed)
+        f = least_sepm(a)
+        for u, child in one_row_children(a, f):
+            least_sepm(child, seed=f, cut=u)
+    for seed in range(20000, 20500):
+        a = tie_fuzz_arena(seed)
+        f = least_sepm(a)
+        if f.all_finite():
+            for u in a.vertices_of(0):
+                if len(a.out[u]) > 1:
+                    for v, _ in a.out[u][:2]:
+                        least_sepm(a._keep({u: (v,)}), seed=f, cut=u)
+    assert calls[0] > 500
