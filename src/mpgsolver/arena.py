@@ -17,7 +17,11 @@ so any other whitespace in a statement is part of a field that fails its
 check, and raises an error at that line and column.  Canonical
 serialization writes one header comment, all ``v`` lines in declaration
 order, then ``e`` lines sorted by (src, dst) declaration index;
-parse/serialize round-trips bit-exactly.
+parse/serialize round-trips bit-exactly.  Equal arenas also share W, so
+the round trip holds for arenas whose W is their own rows' bound: parsed,
+constructed, reweighted and value-class arenas, which are all the arenas
+that ``mpg verify`` and acceptance criterion 7 round-trip.  A Player-0
+restriction keeps its game's W, which its text does not carry.
 
 This module builds every arena.  Input is checked once, where it enters:
 ``parse_arena`` and ``Arena(...)`` check ids, owners, arcs and dead ends,
@@ -152,10 +156,11 @@ class Arena:
         if not isinstance(other, Arena):
             return NotImplemented
         return (self.names == other.names and self.owner == other.owner
-                and self.out == other.out and self.scale == other.scale)
+                and self.out == other.out and self.scale == other.scale
+                and self.W == other.W)
 
     def __hash__(self):
-        return hash((self.names, self.owner, self.out, self.scale))
+        return hash((self.names, self.owner, self.out, self.scale, self.W))
 
     def __repr__(self):
         return "Arena(|V|=%d, |E|=%d, W=%d, scale=%d)" % (
@@ -289,7 +294,9 @@ def parse_arena(text):
 
 
 def serialize_arena(arena):
-    """Canonical text for an arena; parse(serialize(a)) == a."""
+    """Canonical text for an arena; parse(serialize(a)) == a when a's W
+    is its own rows' bound (not a restriction that dropped the heaviest
+    arc)."""
     lines = ["# mpg arena"]
     for name, owner in zip(arena.names, arena.owner):
         lines.append("v %s %d" % (name, owner))

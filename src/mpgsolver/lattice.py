@@ -171,16 +171,20 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     # Explicit stack mirroring the recursion: children are pushed in
     # declaration order and expanded last-first, each with its subgame.
     root_key = tuple(frozenset(v for v, _ in scaled.out[u]) for u in p0)
+    # One frozenset object per distinct value in each slot, shared by
+    # every key that holds it.
+    slots = [{kept: kept} for kept in root_key]
     pending = [(emit(root_key, root_f, []), scaled)]
     while pending:
         node_id, sub = pending.pop()
         node = nodes[node_id]
         key, f = node.key, sepms[node.sepm_id]
         for i, u in enumerate(p0):
-            cut = [v for _, v in incompatible_arcs(sub, f, u)]
+            cut = frozenset(v for _, v in incompatible_arcs(sub, f, u))
             if not cut:
                 continue
-            kept = key[:i] + (frozenset(cut),) + key[i + 1:]  # child's key
+            cut = slots[i].setdefault(cut, cut)
+            kept = key[:i] + (cut,) + key[i + 1:]  # child's key
             known = node_ids.get(kept)
             if known is not None:
                 # expanded once, and its children's keys differ pairwise

@@ -1,7 +1,8 @@
 """Brute-force ground truth for desk-scale instances.
 
 Everything here is deliberately naive: payoffs come from Karp's minimum
-mean-cycle algorithm run per strongly connected component, the optimal
+mean-cycle algorithm run per strongly connected component (Kosaraju's two
+sweeps, one over ``out`` and one over ``ins``), the optimal
 strategy set from enumerating every positional strategy, and the reference
 least progress measure from full Kleene sweeps.  These are the independent
 yardsticks the fast paths are differential-tested against, so they must
@@ -11,8 +12,9 @@ Karp's theorem: in a digraph where every vertex is reachable from a source
 s, the minimum cycle mean equals
 min_u max_k (D_n(u) - D_k(u)) / (n - k)
 over vertices u with D_n(u) finite, where D_k(u) is the minimum weight of
-a walk of length exactly k from s to u.  Means are exact Fractions; no
-floating point is used anywhere.
+a walk of length exactly k from s to u.  The ratios are compared as
+integer pairs by cross-multiplication, and each component's mean becomes
+one exact Fraction; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -28,59 +30,57 @@ from .potentials import PositionalStrategy, least_feasible_potential, restrict
 from .values import ValueAssignment
 
 
-def _sccs(out):
-    """Tarjan's strongly connected components, iterative.
+def _sccs(graph):
+    """Kosaraju's strongly connected components, iterative.
 
-    Emitted sinks-first: every component appears before any component with
-    an arc into it.
+    One depth-first pass over ``out`` records the finish order; one sweep
+    over ``ins``, latest-finished vertex first, collects each component.
+    Returns the components sinks first (every component before any
+    component with an arc into it) and each vertex's component index.
     """
-    n = len(out)
-    order = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = itertools.count(1)
+    n = graph.n
+    seen = [False] * n
+    finished = []
     for root in range(n):
-        if order[root]:
+        if seen[root]:
             continue
-        work = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(graph.out[root]))]
         while work:
-            u, i = work.pop()
-            if i == 0:
-                order[u] = low[u] = next(counter)
-                stack.append(u)
-                on_stack[u] = True
-            advanced = False
-            while i < len(out[u]):
-                v = out[u][i][0]
-                i += 1
-                if not order[v]:
-                    work.append((u, i))
-                    work.append((v, 0))
-                    advanced = True
+            u, arcs = work[-1]
+            for v, _ in arcs:
+                if not seen[v]:
+                    seen[v] = True
+                    work.append((v, iter(graph.out[v])))
                     break
-                if on_stack[v]:
-                    low[u] = min(low[u], order[v])
-            if advanced:
-                continue
-            if low[u] == order[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == u:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-    return comps
+            else:
+                work.pop()
+                finished.append(u)
+    comps = []
+    comp_of = [None] * n
+    for root in reversed(finished):
+        if comp_of[root] is not None:
+            continue
+        members = [root]
+        comp_of[root] = len(comps)
+        for u in members:
+            for v, _ in graph.ins[u]:
+                if comp_of[v] is None:
+                    comp_of[v] = len(comps)
+                    members.append(v)
+        comps.append(members)
+    # the sweep met sources first; number the components sinks first
+    last = len(comps) - 1
+    return comps[::-1], [last - c for c in comp_of]
 
 
 def _karp_min_mean(members, out):
-    """Exact minimum cycle mean inside one strongly connected component."""
+    """Exact minimum cycle mean inside one strongly connected component.
+
+    Each ratio (D_n(v) - D_k(v)) / (n - k) is kept as an integer pair and
+    compared by cross-multiplication (its denominator is positive); only
+    the result becomes a Fraction.
+    """
     local = {u: i for i, u in enumerate(members)}
     arcs = [(local[u], local[v], w)
             for u in members for v, w in out[u] if v in local]
@@ -103,14 +103,14 @@ def _karp_min_mean(members, out):
         for k in range(ns):
             if dist[k][v] is None:
                 continue
-            ratio = Fraction(last[v] - dist[k][v], ns - k)
-            if worst is None or ratio > worst:
-                worst = ratio
-        if best is None or worst < best:
+            num, den = last[v] - dist[k][v], ns - k
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = num, den
+        if best is None or worst[0] * best[1] < best[0] * worst[1]:
             best = worst
     if best is None:
         raise InternalError("Karp found no cycle in a cyclic component")
-    return best
+    return Fraction(*best)
 
 
 def payoff_vector(graph):
@@ -121,12 +121,7 @@ def payoff_vector(graph):
     cyclic components propagates along condensation arcs in one pass.
     """
     out = graph.out
-    n = graph.n
-    comps = _sccs(out)
-    comp_of = [0] * n
-    for ci, members in enumerate(comps):
-        for u in members:
-            comp_of[u] = ci
+    comps, comp_of = _sccs(graph)
     best = [None] * len(comps)
     for ci, members in enumerate(comps):
         cyclic = len(members) > 1 or any(
@@ -139,7 +134,7 @@ def payoff_vector(graph):
                     if mu is None or best[cj] < mu:
                         mu = best[cj]
         best[ci] = mu
-    payoffs = [best[comp_of[u]] for u in range(n)]
+    payoffs = [best[c] for c in comp_of]
     if any(p is None for p in payoffs):
         raise InternalError("a vertex reaches no cycle; arena invariant broken")
     return tuple(payoffs)

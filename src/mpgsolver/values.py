@@ -162,9 +162,12 @@ def is_optimal(arena, vals, strategy):
     the brute-force oracle; optimality is payoff == value everywhere (the
     payoff can never exceed the value).  For a nu-valued arena this is
     equivalent to the restricted reweighted graph being conservative.
+    Values of another length (another game's) get False.
     """
     from . import oracle  # local import: oracle depends on this module
 
+    if len(vals.vals) != arena.n:
+        return False
     graph = restrict(arena, strategy)
     payoffs = oracle.payoff_vector(graph)
     return all(payoffs[u] == vals.vals[u] for u in range(arena.n))

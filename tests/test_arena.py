@@ -6,8 +6,8 @@ import pytest
 
 from mpgsolver import (Arena, ArenaFormatError, MaskError, SubgameMask,
                        apply_mask, decompose, enumerate_lattice,
-                       ergodic_partition, parse_arena, restrict, reweight,
-                       serialize_arena, solve_values)
+                       ergodic_partition, least_sepm, parse_arena, restrict,
+                       reweight, serialize_arena, solve_values)
 from mpgsolver.oracle import all_strategies, gen_random_arena
 
 
@@ -254,6 +254,19 @@ def test_serialize_round_trip_gamma_ex(gamma_ex, data_dir):
     assert once == again
     # canonical text is a fixpoint of serialize(parse(.))
     assert serialize_arena(again) == serialize_arena(once)
+
+
+def test_equality_and_hash_count_the_cap():
+    # cutting a's -9 arc keeps the game's W = 9, which the text of the
+    # restriction does not carry: parsed back, its rows bound W at 1
+    a = parse_arena("v a 0\nv b 1\ne a a -1\ne a b -9\ne b a 0\n")
+    s = apply_mask(a, SubgameMask({0: (0,)}))
+    again = parse_arena(serialize_arena(s))
+    assert (s.W, again.W) == (9, 1)
+    assert s.out == again.out
+    assert least_sepm(s) != least_sepm(again)
+    assert s != again
+    assert hash(s) != hash(again)
 
 
 def test_serialize_single_loop_shape():

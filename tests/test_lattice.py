@@ -355,6 +355,19 @@ def test_node_keys_share_slots_and_match_their_masks(gamma_d,
     assert children > len(games)
 
 
+def test_emitted_keys_intern_their_slots(gamma_d, random_classes):
+    # Each slot holds one frozenset object per distinct value, whichever
+    # parent a key came from.
+    games = [(gamma_d, Fraction(0))] + random_classes
+    shared = 0
+    for sub, nu in games:
+        _, b = enumerate_lattice(sub, nu)
+        for slot in zip(*(node.key for node in b.nodes)):
+            assert len(set(map(id, slot))) == len(set(slot))
+            shared += len(slot) - len(set(slot))
+    assert shared > 0
+
+
 @pytest.mark.parametrize("max_listed", [16, None])
 def test_decompose_matches_compatible_walk(gamma_d, random_classes,
                                            monkeypatch, max_listed):

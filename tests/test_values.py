@@ -237,6 +237,16 @@ def test_is_optimal_rejects_bad_cycle_choice():
     assert not is_optimal(a, vals, bad)
 
 
+def test_is_optimal_rejects_values_of_another_length(gamma_ex):
+    vals = solve_values(gamma_ex)
+    s = synthesize_optimal(gamma_ex, ergodic_partition(gamma_ex, vals))
+    assert is_optimal(gamma_ex, vals, s)
+    longer = ValueAssignment(vals.vals + (vals.vals[0],))
+    shorter = ValueAssignment(vals.vals[:-1])
+    assert not is_optimal(gamma_ex, longer, s)
+    assert not is_optimal(gamma_ex, shorter, s)
+
+
 def test_counterexample_optimal_but_incompatible(gamma_ex):
     # sigma(E)=F is optimal, yet (E,F) is not compatible with the least
     # progress measure of the reweighted game
