@@ -4,9 +4,14 @@ Every vertex value is the mean weight of some simple cycle, hence a
 candidate: a fraction in [-W, W] with denominator <= |V| (Zwick & Paterson,
 TCS 1996).  Values are found by bisection over the candidates: the probe
 "does Player 0 win the energy game on the arena reweighted by nu?" answers
-val(v) >= nu for every vertex at once, so one winning-region computation
+val(v) >= nu for every vertex at once, so one least-SEPM computation
 serves a whole group of vertices.  Each probe nu is the candidate nearest
 the middle of its group's interval, so its denominator is <= |V| as well.
+The bisection runs on pairs of ints, and each probe lifts from the least
+SEPM of the probe at its interval's lower end, rescaled to its own units:
+read in real units, the least SEPM only rises with nu.  Comin & Rizzi
+(Algorithmica 2017) reuse energy levels across candidate values the same
+way, on top of the value iteration of Brim et al. (FMSD 2011).
 
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
@@ -71,34 +76,98 @@ class ErgodicClass:
         return "ErgodicClass(nu=%s, |C|=%d)" % (self.nu, len(self.vertices))
 
 
+def _nearest(p, q, n):
+    """The fraction nearest p/q (q > 0) with denominator <= n, as a
+    coprime pair of ints.
+
+    ``Fraction(p, q).limit_denominator(n)``, on ints and ties included:
+    of the last convergent and the semiconvergent on its other side, the
+    convergent is kept unless the semiconvergent is strictly nearer.  p/q
+    need not be reduced: every remainder then carries the same factor as
+    q, and the comparison cancels it.
+    """
+    den = q
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while q:
+        a = p // q
+        q2 = q0 + a * q1
+        if q2 > n:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        p, q = q, p - a * q
+    else:
+        return p1, q1  # p/q itself, whose reduced denominator is <= n
+    k = (n - q0) // q1
+    # p1/q1 lies q/(q1*den) from p/q; the semiconvergent lies
+    # 1/(q1*(q0 + k*q1)) from p1/q1, across p/q
+    if 2 * q * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _rescale(f, ld, md, cap):
+    """The seed that f, the least SEPM at a value of denominator ld, gives
+    the probe at a value of denominator md and energy cap ``cap``: top
+    stays top, x becomes floor(x*md/ld), and what is above cap is top."""
+    if f is None:
+        return None
+    old, top = f.cap, cap + 1
+    return energy.EnergyFunction(
+        [top if x > old else min(x * md // ld, top) for x in f.values], cap)
+
+
 def solve_values(arena):
     """Exact game value of every vertex.
 
     Invariant per group: lo <= val(v) < hi for all members, where lo and
-    hi are fractions with denominator <= |V|; it starts at [-W, W + 1).
-    The probe mid is the candidate nearest the middle of the interval
-    (ties either way) and splits the group by the reweighted winning
-    region.  Every point strictly inside the interval is nearer the middle
-    than lo and hi are, so mid is lo or hi only when no candidate lies
-    strictly between them; then val(v) = lo, itself a candidate.
+    hi are fractions with denominator <= |V|, kept as coprime int pairs
+    ln/ld and hn/hd; it starts at [-W, W + 1).  The probe mid = mn/md is
+    the candidate nearest the middle of the interval (``_nearest``, the
+    rule of ``Fraction.limit_denominator``) and splits the group by the
+    finite region of the reweighted least SEPM.  Every point strictly
+    inside the interval is nearer the middle than lo and hi are, so mid
+    is lo or hi only when no candidate lies strictly between them; then
+    val(v) = lo, itself a candidate.  A ``Fraction`` is built only to
+    reweight and to assign a value.
+
+    Warm probes.  Each group also keeps f_lo, the least SEPM of the probe
+    at lo, and mid's probe lifts from it rescaled (``_rescale``), or from
+    all-zero in the first group, which has no lower probe.  This is
+    sound.  On the arena reweighted by nu = m/b, whose weights are
+    b*(w - nu), a finite least SEPM value x reads x/b in real units: the
+    least credit with which Player 0 keeps the running sum of w - nu
+    nonnegative forever, and top means none suffices.  Lowering every
+    weight can only raise that credit, so it is monotone in nu, top
+    included.  Since lo < mid, f*_mid(v) >= f_lo(v)*md/ld >=
+    floor(f_lo(v)*md/ld), and f*_mid(v) is top where f_lo(v) is.  A
+    rescaled value above mid's cap bounds f*_mid(v) from below, so
+    f*_mid(v) exceeds the cap too and is top: the cap never cuts a finite
+    least value.  So the seed lies pointwise below f*_mid, which is all that
+    ``least_sepm`` asks of a seed, and the measure, hence the split, is
+    the cold probe's.  Winners carry f_mid to [mid, hi); losers keep
+    f_lo on [lo, mid).
     """
-    vals = [None] * arena.n
-    groups = [(list(range(arena.n)), Fraction(-arena.W),
-               Fraction(arena.W + 1))]
+    n = arena.n
+    vals = [None] * n
+    groups = [(list(range(n)), -arena.W, 1, arena.W + 1, 1, None)]
     while groups:
-        members, lo, hi = groups.pop()
-        mid = ((lo + hi) / 2).limit_denominator(arena.n)
-        if mid == lo or mid == hi:
+        members, ln, ld, hn, hd, below = groups.pop()
+        mn, md = _nearest(ln * hd + hn * ld, 2 * ld * hd, n)
+        if (mn == ln and md == ld) or (mn == hn and md == hd):
+            lo = Fraction(ln, ld)
             for u in members:
                 vals[u] = lo
             continue
-        w0, _ = energy.winning_regions(reweight(arena, mid))
-        winners = [u for u in members if u in w0]
-        losers = [u for u in members if u not in w0]
+        probe = reweight(arena, Fraction(mn, md))
+        f = energy.least_sepm(
+            probe, seed=_rescale(below, ld, md, energy.arena_cap(probe)))
+        cap, levels = f.cap, f.values
+        winners = [u for u in members if levels[u] <= cap]
+        losers = [u for u in members if levels[u] > cap]
         if winners:
-            groups.append((winners, mid, hi))
+            groups.append((winners, mn, md, hn, hd, f))
         if losers:
-            groups.append((losers, lo, mid))
+            groups.append((losers, ln, ld, mn, md, below))
     return ValueAssignment(vals)
 
 

@@ -513,7 +513,8 @@ def test_jumps_match_the_per_lift_loop_on_larger_arenas(monkeypatch):
     probes = []
     real = energy.least_sepm
     monkeypatch.setattr(energy, "least_sepm",
-                        lambda arena: probes.append(arena) or real(arena))
+                        lambda arena, **kwargs: (probes.append(arena)
+                                                 or real(arena, **kwargs)))
     games = [gen_random_arena(100, 3, 10, s) for s in (1, 2)]
     for a in games:
         probes += [reweight(cls.subgame, cls.nu)
@@ -709,6 +710,36 @@ def tie_fuzz_arena(seed, nmax=10, w=1000):
             arcs.setdefault((u, v), weight)
     return Arena(["x%d" % u for u in range(n)], owner,
                  [(u, v, weight) for (u, v), weight in arcs.items()])
+
+
+def test_seeded_probes_start_below_and_end_at_the_cold_measure(monkeypatch):
+    # every value probe that solve_values seeds from its interval's lower
+    # probe, on the 200-arena corpus, on random arenas up to n = 200 at
+    # three weight scales and on 300 tie-fuzz roots: the rescaled seed
+    # lies below the measure it reaches, and that is the cold measure
+    real = least_sepm
+    seeded = []
+
+    def spy(arena, seed=None, **kwargs):
+        f = real(arena, seed=seed, **kwargs)
+        if seed is not None:
+            seeded.append((arena, seed, f))
+        return f
+
+    monkeypatch.setattr(energy, "least_sepm", spy)
+    games = [gen_random_arena(6, 3, 4, s) for s in range(200)]
+    games += [gen_random_arena(n, 3, w, 1) for n in (20, 50, 100, 200)
+              for w in (1, 10, 1000)]
+    games += [tie_fuzz_arena(s) for s in range(20000, 20300)]
+    for a in games:
+        solve_values(a)
+    monkeypatch.undo()
+    tops = 0
+    for arena, seed, f in seeded:
+        assert seed.pointwise_le(f)
+        assert f == least_sepm(arena)
+        tops += not seed.all_finite()
+    assert len(seeded) > 6000 and tops > 2500
 
 
 def test_one_pass_jump_covers_the_two_pass_jump(monkeypatch):

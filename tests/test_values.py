@@ -1,12 +1,13 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from mpgsolver import (Arena, InternalError, ValueAssignment, compatible_arcs,
-                       ergodic_partition, is_optimal, least_sepm, parse_arena,
-                       reweight, solve_values, synthesize_optimal,
-                       winning_regions)
+                       energy, ergodic_partition, is_optimal, least_sepm,
+                       parse_arena, reweight, solve_values, synthesize_optimal,
+                       values, winning_regions)
 from mpgsolver.oracle import exhaustive_opt, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
 
@@ -124,6 +125,40 @@ def test_values_match_the_farey_bisection_on_larger_arenas():
             for seed in seeds:
                 a = gen_random_arena(n, 3, w, seed)
                 assert solve_values(a) == farey_solve_values(a)
+
+
+def test_warm_probes_halve_the_lifts(monkeypatch):
+    # cold probes, each lifting from all-zero, made 55,374 lifts here
+    a = gen_random_arena(400, 3, 10, 1)
+    expected = farey_solve_values(a)
+    lifts = [0]
+    real = energy.least_sepm
+    monkeypatch.setattr(energy, "least_sepm", lambda arena, **kwargs: real(
+        arena, lift_counter=lifts, **kwargs))
+    assert solve_values(a) == expected
+    assert 0 < lifts[0] < 35000
+
+
+def test_nearest_is_limit_denominator():
+    rng = random.Random(5)
+    # q <= n, n = 1 and non-reduced p/q among them
+    cases = [(p, q, n) for p in range(-7, 8) for q in range(1, 7)
+             for n in range(1, 7)]
+    for _ in range(3000):
+        n = rng.choice((1, 2, rng.randint(1, 50), rng.randint(1, 10**4)))
+        q = rng.randint(1, 10**rng.randint(1, 9))
+        k = rng.randint(1, 4)
+        cases.append((k * rng.randint(-10 * q, 10 * q), k * q, n))
+    for n in range(1, 13):
+        fracs = farey(n) + [(1, 1)]
+        for (a, b), (c, d) in zip(fracs, fracs[1:]):
+            # no candidate lies strictly between two Farey neighbours, so
+            # their midpoint is as near to each: an exact tie
+            k = rng.randint(-5, 5)
+            cases.append(((a + k * b) * d + (c + k * d) * b, 2 * b * d, n))
+    for p, q, n in cases:
+        want = Fraction(p, q).limit_denominator(n)
+        assert values._nearest(p, q, n) == (want.numerator, want.denominator)
 
 
 def test_every_probe_is_a_candidate(data_dir, monkeypatch):
