@@ -134,6 +134,38 @@ def _lift_target(arena, f, cap, u):
     return best if best <= cap else top
 
 
+def _fall(inside, arcs, d, n):
+    """Bellman-Ford on d down from the exits over the kept ``arcs``, for
+    at most |S| rounds.  Returns None when d settles, or else the flags of
+    the vertices still falling and of all that reach one (frozen)."""
+    changed = False
+    for _ in inside:
+        changed = False
+        for v in inside:
+            for x, s in arcs[v]:
+                c = d[x] - s
+                if c < d[v] > 0:
+                    d[v] = c if c > 0 else 0
+                    changed = True
+        if not changed:
+            return None
+    frozen = [False] * n
+    back = [[] for _ in range(n)]
+    stack = []
+    for v in inside:
+        for x, s in arcs[v]:
+            back[x].append(v)
+            if not frozen[v] and d[x] - s < d[v] > 0:
+                frozen[v] = True
+                stack.append(v)
+    while stack:
+        for p in back[stack.pop()]:
+            if not frozen[p]:
+                frozen[p] = True
+                stack.append(p)
+    return frozen
+
+
 def _jump(arena, f, top, region):
     """Raise the finite vertices of ``region`` to a lower bound g of f*.
 
@@ -148,18 +180,26 @@ def _jump(arena, f, top, region):
         member[v] = True
     arcs = [()] * n  # v -> its kept arcs (x, (n+1)*w + 1) with x in S
     d = [0] * n  # (n+1)*g, from the clamp of v's least exit f(x) - w
+    ties = []  # (v, arcs tied for best, their f(x) - w): Player-1 v
     for v in inside:
         kept = []
         low = top
         if arena.owner[v]:
-            # one arc: the best finite one, as an exit if it leaves S,
-            # but never a self-loop of weight >= 0
-            arc = None
+            # one arc: the best finite one, the first of those tied in
+            # index order, as an exit if it leaves S, but never a
+            # self-loop of weight >= 0
+            arc = tied = None
             for x, w in arena.out[v]:
                 y = f[x]
-                if (y < top and (x != v or w < 0)
-                        and (arc is None or y - w > low)):
-                    arc, low = (x, w), y - w
+                if y < top and (x != v or w < 0):
+                    if arc is None or y - w > low:
+                        arc, low, tied = (x, w), y - w, None
+                    elif y - w == low:
+                        if tied is None:
+                            tied = [arc]
+                        tied.append((x, w))
+            if tied:
+                ties.append((v, tied, low))
             if arc is not None and member[arc[0]]:
                 kept.append((arc[0], scale * arc[1] + 1))
                 low = top
@@ -174,41 +214,39 @@ def _jump(arena, f, top, region):
         arcs[v] = kept
         # top reads 2*top: what falls from it over < |S| arcs reads top
         d[v] = 0 if low <= 0 else scale * (low if low < top else 2 * top)
-    # Bellman-Ford down from the exits, for at most |S| rounds
-    changed = False
-    for _ in inside:
-        changed = False
+    start = [d[v] for v in inside] if ties else None
+    raised = []
+    for passes in range(1, 5):
+        frozen = _fall(inside, arcs, d, n)
         for v in inside:
-            for x, s in arcs[v]:
-                c = d[x] - s
-                if c < d[v] > 0:
-                    d[v] = c if c > 0 else 0
-                    changed = True
-        if not changed:
+            if frozen is None or not frozen[v]:
+                g = min(top, -(-d[v] // scale))
+                if g > f[v]:
+                    f[v] = g
+                    raised.append(v)
+        if frozen is None or not ties:
             break
-    live = inside
-    if changed:
-        # freeze each vertex still falling, and all that reach one
-        frozen = [False] * n
-        back = [[] for _ in range(n)]
-        stack = []
-        for v in inside:
-            for x, s in arcs[v]:
-                back[x].append(v)
-                if not frozen[v] and d[x] - s < d[v] > 0:
-                    frozen[v] = True
-                    stack.append(v)
-        while stack:
-            for p in back[stack.pop()]:
-                if not frozen[p]:
-                    frozen[p] = True
-                    stack.append(p)
-        live = [v for v in inside if not frozen[v]]
-    for v in live:
-        d[v] = min(top, -(-d[v] // scale))  # g
-    raised = [v for v in live if d[v] > f[v]]
-    for v in raised:
-        f[v] = d[v]
+        # each held Player-1 vertex whose arc stays in S turns to its next
+        # tied arc, unless that arc's head has just turned
+        turned = set()
+        for v, tied, low in ties:
+            if frozen[v] and arcs[v] and arcs[v][0][0] not in turned:
+                tied.append(tied.pop(0))
+                x, w = tied[0]
+                if member[x]:
+                    arcs[v], low = ((x, scale * w + 1),), top
+                else:
+                    arcs[v] = ()
+                turned.add(v)
+                start[inside.index(v)] = (
+                    0 if low <= 0 else scale * (low if low < top else 2 * top))
+        if not turned:
+            break
+        for v, s in zip(inside, start):
+            d[v] = s
+    if passes > 1:
+        up = set(raised)
+        raised = [v for v in inside if v in up]
     return raised
 
 
@@ -266,8 +304,9 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     waits until the call has made |S| lifts since the last jump:
     - vertices outside S read as the constants f(v);
     - each Player-1 vertex of S keeps one arc, its best finite one under
-      f that is not a self-loop of weight >= 0 (none: it reads top), and
-      each Player-0 vertex keeps all its arcs to finite vertices;
+      f that is not a self-loop of weight >= 0 (none: it reads top), the
+      first in index order of those tied for best, and each Player-0
+      vertex keeps all its arcs to finite vertices;
     - d = (n+1)*g starts at (n+1) times v's least exit f(x) - w over the
       kept arcs that leave S: at 0 when that is <= 0, and at (n+1)*2*top
       when it is >= top or v has no exit;
@@ -276,9 +315,14 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
       round changes nothing;
     - a vertex still falling after |S| rounds stays at f, and so does
       every vertex that reaches one over the kept arcs;
-    - on the rest L of S, g = min(top, ceil(d / (n+1))), f becomes
-      max(f, g), and the predecessors of each raised vertex are queued by
-      the rule that follows a lift.
+    - on the rest L of S, g = min(top, ceil(d / (n+1)));
+    - if a vertex was held, each held Player-1 vertex whose arc stays in
+      S turns to the next of its arcs tied for best, if it has another,
+      unless the head of its arc turned before it in this pass; then d
+      restarts and the relaxation and hold above are redone, in at most 4
+      passes in all, until nothing turns;
+    - f becomes max(f, g) for the g of every pass, and the predecessors
+      of each raised vertex are queued by the rule that follows a lift.
     This is exact.  Let G be the operator of the kept arcs on L, which
     they never leave, every vertex outside S held at f, with the clamp of
     a lift.  G is monotone and G(f*) <= f*: a held vertex reads f <= f*,
@@ -303,10 +347,22 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     rounds and is held.  Starting at 2*top keeps each value reached over
     fewer than |S| arcs above the cap, where it reads top, as an
     absorbing top would; a start at top is as sound, but raises less.
-    Hence f stays below f*, every violated vertex stays queued, and the
-    loop still ends at f*.  The first jump waits for a vertex's third
-    lift: on lattice children, jumping at the second costs more than it
-    saves.
+    Each pass keeps one arc per Player-1 vertex, so each pass's g is
+    <= f*, and so is their maximum.  Hence f stays below f*, every
+    violated vertex stays queued, and the loop still ends at f*.  The
+    first jump waits for a vertex's third lift: on lattice children,
+    jumping at the second costs more than it saves.
+
+    Turns.  A tie can close a cycle of weight 0 that holds the region:
+    in x0 -> x1 (-1), x1 -> x0 (1), x1 -> x2 (0), x2 -> x2 (-W),
+    x2 -> x0 (0), with x1 of Player 1, f reads (a + 1, a, a) at every
+    jump, x1 keeps x0, and a region held at every jump took 6W + 3 lifts
+    to top.  Turning x1 to x2, as good under f, breaks the cycle.  Only
+    tied arcs are tried: a worse arc can close a cycle of weight >= 0
+    again.  Two tied vertices on one cycle of weight 0 turn one at a
+    time, since turned together each can close another such cycle.  No
+    bound on the lifts that does not grow with W is proven: a region
+    still held after 4 passes climbs one lift at a time, as before.
 
     ``lift_counter``, if given, is a one-element list accumulating the
     number of lift operations (diagnostic only).  Each vertex that a jump

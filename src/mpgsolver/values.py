@@ -1,17 +1,21 @@
 """Game values, the ergodic partition, and optimal strategy synthesis.
 
-Every vertex value is the mean weight of some simple cycle, hence a
-candidate: a fraction in [-W, W] with denominator <= |V| (Zwick & Paterson,
-TCS 1996).  Values are found by bisection over the candidates: the probe
-"does Player 0 win the energy game on the arena reweighted by nu?" answers
-val(v) >= nu for every vertex at once, so one least-SEPM computation
-serves a whole group of vertices.  Each probe nu is the candidate nearest
-the middle of its group's interval, so its denominator is <= |V| as well.
-The bisection runs on pairs of ints, and each probe lifts from the least
-SEPM of the probe at its interval's lower end, rescaled to its own units:
-read in real units, the least SEPM only rises with nu.  Comin & Rizzi
-(Algorithmica 2017) reuse energy levels across candidate values the same
-way, on top of the value iteration of Brim et al. (FMSD 2011).
+Every vertex value is the mean weight of a simple cycle inside the
+vertex's own value class, hence a candidate: a fraction in [-W, W] with
+denominator at most the size of that class, and so at most |V| (Zwick &
+Paterson, TCS 1996).  Values are found by bisection over the candidates:
+the probe "does Player 0 win the energy game on the arena reweighted by
+nu?" answers val(v) >= nu for every vertex at once, so one least-SEPM
+computation serves a whole group of vertices.  A group holds the whole
+value class of each of its members, so each probe nu is the fraction
+nearest the middle of its group's interval among those with denominator
+at most the group's size, and a group of one vertex reads its value off
+its self-loop, with no probe.  The bisection runs on pairs of ints, and
+each probe lifts from the least SEPM of the probe at its interval's lower
+end, rescaled to its own units: read in real units, the least SEPM only
+rises with nu.  Comin & Rizzi (Algorithmica 2017) reuse energy levels
+across candidate values the same way, on top of the value iteration of
+Brim et al. (FMSD 2011).
 
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
@@ -120,39 +124,62 @@ def solve_values(arena):
     """Exact game value of every vertex.
 
     Invariant per group: lo <= val(v) < hi for all members, where lo and
-    hi are fractions with denominator <= |V|, kept as coprime int pairs
-    ln/ld and hn/hd; it starts at [-W, W + 1).  The probe mid = mn/md is
-    the candidate nearest the middle of the interval (``_nearest``, the
-    rule of ``Fraction.limit_denominator``) and splits the group by the
-    finite region of the reweighted least SEPM.  Every point strictly
-    inside the interval is nearer the middle than lo and hi are, so mid
-    is lo or hi only when no candidate lies strictly between them; then
-    val(v) = lo, itself a candidate.  A ``Fraction`` is built only to
+    hi are earlier probes or the bounds -W and W + 1 of the first group,
+    kept as coprime int pairs ln/ld and hn/hd.  The probe mid = mn/md is
+    the fraction nearest the middle of the interval with denominator
+    <= k, the group's size (``_nearest``, the rule of
+    ``Fraction.limit_denominator``), and splits the group by the finite
+    region of the reweighted least SEPM.
+
+    Why k suffices.  The groups' intervals are pairwise disjoint, so the
+    value class C of a member u, the vertices of value val(u), lies in
+    u's group.  C induces a subgame whose value is val(u) everywhere, and
+    in it optimal positional strategies of both players, played from u,
+    close a simple cycle of mean exactly val(u) inside C.  So
+    den(val(u)) <= |C| <= k: every member's value is a candidate of
+    denominator <= k in [lo, hi).  Every point strictly inside the
+    interval is nearer the middle than lo and hi are, so mid is lo or hi
+    only when no such candidate lies strictly between them; then every
+    value is lo.  A group {u} of one vertex is its own class, whose only
+    cycle is u's self-loop: val(u) is that loop's weight, and no probe
+    is made.  A lone vertex without a self-loop in [lo, hi) contradicts
+    this and raises InternalError.  A ``Fraction`` is built only to
     reweight and to assign a value.
 
     Warm probes.  Each group also keeps f_lo, the least SEPM of the probe
     at lo, and mid's probe lifts from it rescaled (``_rescale``), or from
-    all-zero in the first group, which has no lower probe.  This is
-    sound.  On the arena reweighted by nu = m/b, whose weights are
-    b*(w - nu), a finite least SEPM value x reads x/b in real units: the
-    least credit with which Player 0 keeps the running sum of w - nu
-    nonnegative forever, and top means none suffices.  Lowering every
-    weight can only raise that credit, so it is monotone in nu, top
-    included.  Since lo < mid, f*_mid(v) >= f_lo(v)*md/ld >=
-    floor(f_lo(v)*md/ld), and f*_mid(v) is top where f_lo(v) is.  A
-    rescaled value above mid's cap bounds f*_mid(v) from below, so
-    f*_mid(v) exceeds the cap too and is top: the cap never cuts a finite
-    least value.  So the seed lies pointwise below f*_mid, which is all that
-    ``least_sepm`` asks of a seed, and the measure, hence the split, is
-    the cold probe's.  Winners carry f_mid to [mid, hi); losers keep
-    f_lo on [lo, mid).
+    all-zero while the group's lo is -W, which was never probed.  Every
+    probe reweights the whole arena, whatever the group's size, so f_lo
+    and f_mid measure the same vertices.  This is sound.  On the arena
+    reweighted by nu = m/b, whose weights are b*(w - nu), a finite least
+    SEPM value x reads x/b in real units: the least credit with which
+    Player 0 keeps the running sum of w - nu nonnegative forever, and top
+    means none suffices.  Lowering every weight can only raise that
+    credit, so it is monotone in nu, top included.  Since lo < mid,
+    f*_mid(v) >= f_lo(v)*md/ld >= floor(f_lo(v)*md/ld), and f*_mid(v) is
+    top where f_lo(v) is.  A rescaled value above mid's cap bounds
+    f*_mid(v) from below, so f*_mid(v) exceeds the cap too and is top:
+    the cap never cuts a finite least value.  So the seed lies pointwise
+    below f*_mid, which is all that ``least_sepm`` asks of a seed, and the
+    measure, hence the split, is the cold probe's.  Winners carry f_mid
+    to [mid, hi); losers keep f_lo on [lo, mid).
     """
     n = arena.n
     vals = [None] * n
     groups = [(list(range(n)), -arena.W, 1, arena.W + 1, 1, None)]
     while groups:
         members, ln, ld, hn, hd, below = groups.pop()
-        mn, md = _nearest(ln * hd + hn * ld, 2 * ld * hd, n)
+        if len(members) == 1:
+            (u,) = members
+            w = next((w for v, w in arena.out[u] if v == u), None)
+            if w is None or not ln <= w * ld or not w * hd < hn:
+                raise InternalError(
+                    "vertex %s is alone in its value interval [%s, %s) "
+                    "without a self-loop there"
+                    % (arena.names[u], Fraction(ln, ld), Fraction(hn, hd)))
+            vals[u] = Fraction(w)
+            continue
+        mn, md = _nearest(ln * hd + hn * ld, 2 * ld * hd, len(members))
         if (mn == ln and md == ld) or (mn == hn and md == hd):
             lo = Fraction(ln, ld)
             for u in members:

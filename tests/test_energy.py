@@ -712,10 +712,79 @@ def tie_fuzz_arena(seed, nmax=10, w=1000):
                  [(u, v, weight) for (u, v), weight in arcs.items()])
 
 
+def fuzz_lifts(arena, check=False):
+    """Lifts of the root and, when the root is finite everywhere, of the
+    seeded children that keep one of the first two arcs of each Player-0
+    row with more than one; with ``check``, each measure is checked
+    against the per-lift reference."""
+    counter = [0]
+    f = least_sepm(arena, lift_counter=counter)
+    if check:
+        assert f == per_lift_least_sepm(arena)
+    if f.all_finite():
+        for u in arena.vertices_of(0):
+            if len(arena.out[u]) > 1:
+                for v, _ in arena.out[u][:2]:
+                    child = arena._keep({u: (v,)})
+                    g = least_sepm(child, seed=f, cut=u, lift_counter=counter)
+                    if check:
+                        assert g == per_lift_least_sepm(child, seed=f, cut=u)
+    return counter[0]
+
+
+def test_a_player1_tie_that_closes_a_zero_two_cycle_does_not_freeze_a_jump():
+    # x1 (Player 1) ties between x0 and x2 at every jump, where f reads
+    # (a + 1, a, a); keeping x0 closes x0 -> x1 -> x0 of weight 0, which
+    # froze the region, and x2's -W self-loop then took 6W + 3 lifts.
+    # Turning x1 to x2 breaks the cycle.
+    counts = set()
+    for w in (10**3, 10**4, 10**5):
+        a = Arena(["x0", "x1", "x2"], [0, 1, 0],
+                  [(0, 1, -1), (1, 2, 0), (1, 0, 1), (2, 2, -w), (2, 0, 0)])
+        counter = [0]
+        f = least_sepm(a, lift_counter=counter)
+        assert f.values == (f.cap + 1,) * 3
+        if w == 10**3:
+            assert f == per_lift_least_sepm(a)
+        counts.add(counter[0])
+    assert len(counts) == 1 and max(counts) <= 16
+
+
+def test_a_seeded_tie_on_a_zero_two_cycle_does_not_freeze_a_jump():
+    # v7 ties between v0 and v4 and kept v0, so v0 <-> v7 of weight 0
+    # froze every jump of this seeded child: 19W + 3 lifts
+    counts = set()
+    for w in (10**3, 10**4, 10**5):
+        a = Arena(["v0", "v4", "v7", "v9", "v11"], [1, 1, 1, 1, 0],
+                  [(0, 2, 0), (1, 4, 0), (2, 0, 0), (2, 1, -1), (3, 0, w),
+                   (4, 2, 0)])
+        seed = EnergyFunction((1, 0, 1, 0, 0), arena_cap(a))
+        counter = [0]
+        f = least_sepm(a, seed=seed, cut=4, lift_counter=counter)
+        assert f.values == (f.cap + 1,) * 5
+        if w == 10**3:
+            assert f == per_lift_least_sepm(a, seed=seed, cut=4)
+        counts.add(counter[0])
+    assert len(counts) == 1 and max(counts) <= 16
+
+
+def test_player1_ties_do_not_make_lifts_grow_with_the_weights():
+    # tie-fuzz roots and seeded one-row children make as many lifts at
+    # W = 10^3 as at 10^4, and the first 500 match the per-lift reference
+    # at 10^3.  At the freezing jump 3 of these 2,000 seeds grew 10x.  Seed
+    # 43446 at nmax = 20 holds two tied Player-1 vertices on one 0-cycle,
+    # x2 <-> x6: turned together, each closes another 0-cycle, so only
+    # the first turns.
+    for seed, nmax in [(s, 10) for s in range(20000, 22000)] + [(43446, 20)]:
+        low = fuzz_lifts(tie_fuzz_arena(seed, nmax, 10**3),
+                         check=seed < 20500 or nmax > 10)
+        assert low == fuzz_lifts(tie_fuzz_arena(seed, nmax, 10**4)), seed
+
+
 def test_seeded_probes_start_below_and_end_at_the_cold_measure(monkeypatch):
     # every value probe that solve_values seeds from its interval's lower
     # probe, on the 200-arena corpus, on random arenas up to n = 200 at
-    # three weight scales and on 300 tie-fuzz roots: the rescaled seed
+    # three weight scales and on 600 tie-fuzz roots: the rescaled seed
     # lies below the measure it reaches, and that is the cold measure
     real = least_sepm
     seeded = []
@@ -730,7 +799,7 @@ def test_seeded_probes_start_below_and_end_at_the_cold_measure(monkeypatch):
     games = [gen_random_arena(6, 3, 4, s) for s in range(200)]
     games += [gen_random_arena(n, 3, w, 1) for n in (20, 50, 100, 200)
               for w in (1, 10, 1000)]
-    games += [tie_fuzz_arena(s) for s in range(20000, 20300)]
+    games += [tie_fuzz_arena(s) for s in range(20000, 20600)]
     for a in games:
         solve_values(a)
     monkeypatch.undo()

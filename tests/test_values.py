@@ -61,7 +61,9 @@ def test_values_match_oracle_and_small_denominators():
             vals = solve_values(a)
             oracle_vals, _ = exhaustive_opt(a)
             assert vals == oracle_vals
-            assert all(v.denominator <= a.n for v in vals.vals)
+            # a value is the mean of a simple cycle in its own value class
+            assert all(v.denominator <= vals.vals.count(v)
+                       for v in vals.vals)
 
 
 def test_solve_values_memory_does_not_grow_with_the_candidates():
@@ -176,6 +178,56 @@ def test_every_probe_is_a_candidate(data_dir, monkeypatch):
         for nu in probes:
             assert Fraction(nu).denominator <= a.n
             assert -a.W <= nu < a.W + 1
+
+
+def count_probes(monkeypatch, arena):
+    """(values, number of value probes) of ``solve_values(arena)``."""
+    probes = []
+    monkeypatch.setattr("mpgsolver.values.reweight",
+                        lambda a, nu: probes.append(nu) or reweight(a, nu))
+    vals = solve_values(arena)
+    monkeypatch.undo()
+    return vals, len(probes)
+
+
+def test_lone_vertices_read_their_self_loops(monkeypatch):
+    # eight self-loops of weights 0, 10^6, ..., 7*10^6: each value is
+    # settled once a group holds that vertex alone, so the probes only
+    # split groups, 7 of them; over every fraction of denominator <= 8
+    # it took 196
+    a = Arena(["x%d" % i for i in range(8)], [0] * 8,
+              [(i, i, i * 10**6) for i in range(8)])
+    vals, probes = count_probes(monkeypatch, a)
+    assert vals == farey_solve_values(a) == exhaustive_opt(a)[0]
+    assert probes == 7
+    # two loops: the first probe splits them (5 probes over denominator
+    # <= 2), and the group of the loop of weight 2 needs one more
+    a = Arena(["p", "q"], [0, 0], [(0, 0, 1), (1, 1, 2)])
+    vals, probes = count_probes(monkeypatch, a)
+    assert vals == farey_solve_values(a) == exhaustive_opt(a)[0]
+    assert probes == 2
+
+
+def test_each_group_bisects_over_its_own_candidates(monkeypatch):
+    # probes with denominators up to each group's size, not |V|: 37
+    # probes over every candidate of denominator <= 200
+    a = gen_random_arena(200, 3, 10, 1)
+    vals, probes = count_probes(monkeypatch, a)
+    assert vals == farey_solve_values(a)
+    assert probes <= 30
+
+
+def test_a_lone_vertex_without_a_self_loop_is_an_internal_error(
+        monkeypatch):
+    # a measure finite at p alone splits {p, q}, whose values are equal;
+    # q is then alone in [-1, 1/2), with no self-loop to read
+    a = Arena(["p", "q"], [0, 0], [(0, 1, 1), (1, 0, 1)])
+    monkeypatch.setattr(
+        energy, "least_sepm",
+        lambda arena, seed=None: energy.EnergyFunction(
+            [0, energy.arena_cap(arena) + 1], energy.arena_cap(arena)))
+    with pytest.raises(InternalError, match=r"q is alone in .* \[-1, 1/2\)"):
+        solve_values(a)
 
 
 def test_ergodic_partition_single_class(gamma_ex):
