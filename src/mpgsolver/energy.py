@@ -270,17 +270,8 @@ def least_sepm(arena, seed=None, cut=None, lift_counter=None):
     """Pointwise-least SEPM by worklist value iteration.
 
     ``seed`` must lie pointwise below the true least SEPM; by default
-    iteration starts from all-zero.  Two kinds of seed qualify:
-    - a parent subgame's least SEPM, since dropping Player-0 arcs can
-      only raise the fixpoint;
-    - for an arena reweighted by nu = m/b, the least SEPM f' of the same
-      arena reweighted by a lower nu' = m'/b', rescaled: top stays top,
-      x becomes floor(x*b/b'), and what exceeds this arena's cap is top.
-      In real units, x/b, a least SEPM value is the least credit that
-      keeps the running sum of w - nu nonnegative, which only rises with
-      nu, so f*(v) >= f'(v)*b/b'; and a value above the cap bounds an
-      f*(v) that is above the cap too, hence top.  The proof is at
-      ``values.solve_values``, which seeds its probes this way.
+    iteration starts from all-zero.  A parent subgame's least SEPM
+    qualifies, since dropping Player-0 arcs can only raise the fixpoint.
     A seed from another game (its cap or length is not this arena's)
     raises InternalError.  The FIFO worklist starts with the vertices
     that the seed violates, in declaration order.  After u is lifted to

@@ -10,12 +10,10 @@ computation serves a whole group of vertices.  A group holds the whole
 value class of each of its members, so each probe nu is the fraction
 nearest the middle of its group's interval among those with denominator
 at most the group's size, and a group of one vertex reads its value off
-its self-loop, with no probe.  The bisection runs on pairs of ints, and
-each probe lifts from the least SEPM of the probe at its interval's lower
-end, rescaled to its own units: read in real units, the least SEPM only
-rises with nu.  Comin & Rizzi (Algorithmica 2017) reuse energy levels
-across candidate values the same way, on top of the value iteration of
-Brim et al. (FMSD 2011).
+its self-loop, with no probe.  For the same reason a group's own induced
+subgame has its values, so each probe reweights and lifts that subgame
+alone, from all-zero, not the whole arena.  The bisection runs on pairs
+of ints.
 
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
@@ -109,15 +107,21 @@ def _nearest(p, q, n):
     return p0 + k * p1, q0 + k * q1
 
 
-def _rescale(f, ld, md, cap):
-    """The seed that f, the least SEPM at a value of denominator ld, gives
-    the probe at a value of denominator md and energy cap ``cap``: top
-    stays top, x becomes floor(x*md/ld), and what is above cap is top."""
-    if f is None:
-        return None
-    old, top = f.cap, cap + 1
-    return energy.EnergyFunction(
-        [top if x > old else min(x * md // ld, top) for x in f.values], cap)
+def _induce(arena, members, what):
+    """The subgame that ``members``, ascending vertices of ``arena``,
+    induce: their rows, cut to the arcs between them.  A member left
+    without an arc is an InternalError about ``what``."""
+    local = {u: i for i, u in enumerate(members)}
+    out = []
+    for u in members:
+        row = [(local[v], w) for v, w in arena.out[u] if v in local]
+        if not row:
+            raise InternalError("%s does not induce a subgame: vertex %s "
+                                "has no outgoing arc" % (what, arena.names[u]))
+        out.append(row)
+    return Arena._from_rows([arena.names[u] for u in members],
+                            [arena.owner[u] for u in members],
+                            out, arena.scale)
 
 
 def solve_values(arena):
@@ -129,72 +133,72 @@ def solve_values(arena):
     the fraction nearest the middle of the interval with denominator
     <= k, the group's size (``_nearest``, the rule of
     ``Fraction.limit_denominator``), and splits the group by the finite
-    region of the reweighted least SEPM.
+    region of the least SEPM of the group's subgame reweighted by mid.
 
-    Why k suffices.  The groups' intervals are pairwise disjoint, so the
-    value class C of a member u, the vertices of value val(u), lies in
-    u's group.  C induces a subgame whose value is val(u) everywhere, and
-    in it optimal positional strategies of both players, played from u,
-    close a simple cycle of mean exactly val(u) inside C.  So
-    den(val(u)) <= |C| <= k: every member's value is a candidate of
-    denominator <= k in [lo, hi).  Every point strictly inside the
-    interval is nearer the middle than lo and hi are, so mid is lo or hi
-    only when no such candidate lies strictly between them; then every
-    value is lo.  A group {u} of one vertex is its own class, whose only
-    cycle is u's self-loop: val(u) is that loop's weight, and no probe
-    is made.  A lone vertex without a self-loop in [lo, hi) contradicts
+    Why the subgame.  The groups' intervals are pairwise disjoint, so a
+    group's members have values in [lo, hi) and every other vertex has
+    its value outside.  A Player-0 member's arcs that leave the group
+    thus go to lower values, and a Player-1 member's to higher ones, and
+    each member's optimal arcs stay inside its value class, which lies
+    in the group.  So the subgame that the group induces has no dead
+    end, and optimal strategies of both players restrict to it: it has
+    the same values, and its probe splits the group exactly as the
+    probe of the whole arena does.  Winners and losers induce their
+    subgames from the probed one when it splits them, and keep it
+    whole when it does not; ``verts`` maps its vertices back to the
+    arena's.  A dead end there contradicts this and raises
+    InternalError.
+
+    Why k suffices.  The value class C of a member u, the vertices of
+    value val(u), lies in u's group.  C induces a subgame whose value is
+    val(u) everywhere, and in it optimal positional strategies of both
+    players, played from u, close a simple cycle of mean exactly val(u)
+    inside C.  So den(val(u)) <= |C| <= k: every member's value is a
+    candidate of denominator <= k in [lo, hi).  Every point strictly
+    inside the interval is nearer the middle than lo and hi are, so mid
+    is lo or hi only when no such candidate lies strictly between them;
+    then every value is lo.  A group {u} of one vertex is its own class,
+    whose only cycle is u's self-loop: val(u) is that loop's weight, read
+    off u's row in the subgame it was split from, and no subgame is
+    built.  A lone vertex without a self-loop in [lo, hi) contradicts
     this and raises InternalError.  A ``Fraction`` is built only to
     reweight and to assign a value.
-
-    Warm probes.  Each group also keeps f_lo, the least SEPM of the probe
-    at lo, and mid's probe lifts from it rescaled (``_rescale``), or from
-    all-zero while the group's lo is -W, which was never probed.  Every
-    probe reweights the whole arena, whatever the group's size, so f_lo
-    and f_mid measure the same vertices.  This is sound.  On the arena
-    reweighted by nu = m/b, whose weights are b*(w - nu), a finite least
-    SEPM value x reads x/b in real units: the least credit with which
-    Player 0 keeps the running sum of w - nu nonnegative forever, and top
-    means none suffices.  Lowering every weight can only raise that
-    credit, so it is monotone in nu, top included.  Since lo < mid,
-    f*_mid(v) >= f_lo(v)*md/ld >= floor(f_lo(v)*md/ld), and f*_mid(v) is
-    top where f_lo(v) is.  A rescaled value above mid's cap bounds
-    f*_mid(v) from below, so f*_mid(v) exceeds the cap too and is top:
-    the cap never cuts a finite least value.  So the seed lies pointwise
-    below f*_mid, which is all that ``least_sepm`` asks of a seed, and the
-    measure, hence the split, is the cold probe's.  Winners carry f_mid
-    to [mid, hi); losers keep f_lo on [lo, mid).
     """
     n = arena.n
     vals = [None] * n
-    groups = [(list(range(n)), -arena.W, 1, arena.W + 1, 1, None)]
+    # (a subgame that holds the group, its vertices in the arena, the
+    # group's members among them, ln, ld, hn, hd)
+    groups = [(arena, range(n), range(n), -arena.W, 1, arena.W + 1, 1)]
     while groups:
-        members, ln, ld, hn, hd, below = groups.pop()
+        sub, verts, members, ln, ld, hn, hd = groups.pop()
         if len(members) == 1:
-            (u,) = members
-            w = next((w for v, w in arena.out[u] if v == u), None)
+            (i,) = members
+            w = next((w for v, w in sub.out[i] if v == i), None)
             if w is None or not ln <= w * ld or not w * hd < hn:
                 raise InternalError(
                     "vertex %s is alone in its value interval [%s, %s) "
                     "without a self-loop there"
-                    % (arena.names[u], Fraction(ln, ld), Fraction(hn, hd)))
-            vals[u] = Fraction(w)
+                    % (sub.names[i], Fraction(ln, ld), Fraction(hn, hd)))
+            vals[verts[i]] = Fraction(w)
             continue
         mn, md = _nearest(ln * hd + hn * ld, 2 * ld * hd, len(members))
         if (mn == ln and md == ld) or (mn == hn and md == hd):
             lo = Fraction(ln, ld)
-            for u in members:
-                vals[u] = lo
+            for i in members:
+                vals[verts[i]] = lo
             continue
-        probe = reweight(arena, Fraction(mn, md))
-        f = energy.least_sepm(
-            probe, seed=_rescale(below, ld, md, energy.arena_cap(probe)))
+        if len(members) < sub.n:
+            sub = _induce(sub, members, "value group [%s, %s)"
+                          % (Fraction(ln, ld), Fraction(hn, hd)))
+            verts = [verts[i] for i in members]
+        f = energy.least_sepm(reweight(sub, Fraction(mn, md)))
         cap, levels = f.cap, f.values
-        winners = [u for u in members if levels[u] <= cap]
-        losers = [u for u in members if levels[u] > cap]
+        winners = [i for i in range(sub.n) if levels[i] <= cap]
+        losers = [i for i in range(sub.n) if levels[i] > cap]
         if winners:
-            groups.append((winners, mn, md, hn, hd, f))
+            groups.append((sub, verts, winners, mn, md, hn, hd))
         if losers:
-            groups.append((losers, ln, ld, mn, md, below))
+            groups.append((sub, verts, losers, ln, ld, mn, md))
     return ValueAssignment(vals)
 
 
@@ -208,21 +212,9 @@ def ergodic_partition(arena, vals):
     by_value = {}
     for u, v in enumerate(vals.vals):
         by_value.setdefault(v, []).append(u)
-    classes = []
-    for nu, members in by_value.items():
-        local = {u: i for i, u in enumerate(members)}
-        out = [[(local[v], w) for v, w in arena.out[u] if v in local]
-               for u in members]
-        for u, row in zip(members, out):
-            if not row:
-                raise InternalError(
-                    "value class %s does not induce a subgame: vertex %s "
-                    "has no outgoing arc" % (nu, arena.names[u]))
-        subgame = Arena._from_rows([arena.names[u] for u in members],
-                                   [arena.owner[u] for u in members],
-                                   out, arena.scale)
-        classes.append(ErgodicClass(nu, members, subgame))
-    return classes
+    return [ErgodicClass(nu, members,
+                         _induce(arena, members, "value class %s" % (nu,)))
+            for nu, members in by_value.items()]
 
 
 def synthesize_optimal(arena, classes):

@@ -507,15 +507,16 @@ def test_jumps_match_kleene_on_the_corpus():
 
 def test_jumps_match_the_per_lift_loop_on_larger_arenas(monkeypatch):
     # every value probe of denominator <= 16 that solve_values makes on
-    # two n = 100 arenas, and the seeded one-row children of each probe
-    # and of each value class, against the loop without jumps
+    # four n = 100 arenas, each on its group's subgame, and the seeded
+    # one-row children of each probe and of each value class, against
+    # the loop without jumps
     from mpgsolver import energy
     probes = []
     real = energy.least_sepm
     monkeypatch.setattr(energy, "least_sepm",
                         lambda arena, **kwargs: (probes.append(arena)
                                                  or real(arena, **kwargs)))
-    games = [gen_random_arena(100, 3, 10, s) for s in (1, 2)]
+    games = [gen_random_arena(100, 3, 10, s) for s in (1, 2, 3, 4)]
     for a in games:
         probes += [reweight(cls.subgame, cls.nu)
                    for cls in ergodic_partition(a, solve_values(a))]
@@ -782,33 +783,32 @@ def test_player1_ties_do_not_make_lifts_grow_with_the_weights():
 
 
 def test_seeded_probes_start_below_and_end_at_the_cold_measure(monkeypatch):
-    # every value probe that solve_values seeds from its interval's lower
-    # probe, on the 200-arena corpus, on random arenas up to n = 200 at
-    # three weight scales and on 600 tie-fuzz roots: the rescaled seed
-    # lies below the measure it reaches, and that is the cold measure
-    real = least_sepm
-    seeded = []
-
-    def spy(arena, seed=None, **kwargs):
-        f = real(arena, seed=seed, **kwargs)
-        if seed is not None:
-            seeded.append((arena, seed, f))
-        return f
-
-    monkeypatch.setattr(energy, "least_sepm", spy)
+    # the seeded one-row children, as the lattice makes them, of each
+    # game's whole arena reweighted at the first 8 value probes of
+    # solve_values, on the 200-arena corpus, on random arenas up to
+    # n = 200 at three weight scales and on 600 tie-fuzz roots: the
+    # parent's measure lies below the child's, and that is the cold one
     games = [gen_random_arena(6, 3, 4, s) for s in range(200)]
     games += [gen_random_arena(n, 3, w, 1) for n in (20, 50, 100, 200)
               for w in (1, 10, 1000)]
     games += [tie_fuzz_arena(s) for s in range(20000, 20600)]
+    probes = []
+    monkeypatch.setattr("mpgsolver.values.reweight",
+                        lambda a, nu: probes.append(nu) or reweight(a, nu))
+    seeded = tops = 0
     for a in games:
+        probes.clear()
         solve_values(a)
-    monkeypatch.undo()
-    tops = 0
-    for arena, seed, f in seeded:
-        assert seed.pointwise_le(f)
-        assert f == least_sepm(arena)
-        tops += not seed.all_finite()
-    assert len(seeded) > 6000 and tops > 2500
+        for nu in probes[:8]:
+            scaled = reweight(a, nu)
+            f = least_sepm(scaled)
+            for u, child in one_row_children(scaled, f):
+                g = least_sepm(child, seed=f, cut=u)
+                assert f.pointwise_le(g)
+                assert g == least_sepm(child)
+                seeded += 1
+                tops += not f.all_finite()
+    assert seeded > 6000 and tops > 2500
 
 
 def test_one_pass_jump_covers_the_two_pass_jump(monkeypatch):

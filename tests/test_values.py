@@ -129,8 +129,9 @@ def test_values_match_the_farey_bisection_on_larger_arenas():
                 assert solve_values(a) == farey_solve_values(a)
 
 
-def test_warm_probes_halve_the_lifts(monkeypatch):
-    # cold probes, each lifting from all-zero, made 55,374 lifts here
+def test_subgame_probes_halve_the_lifts(monkeypatch):
+    # probes of the whole arena, each lifting from all-zero, made 55,374
+    # lifts here; probes of each group's own subgame make 23,117
     a = gen_random_arena(400, 3, 10, 1)
     expected = farey_solve_values(a)
     lifts = [0]
@@ -215,6 +216,31 @@ def test_each_group_bisects_over_its_own_candidates(monkeypatch):
     vals, probes = count_probes(monkeypatch, a)
     assert vals == farey_solve_values(a)
     assert probes <= 30
+
+
+def test_each_probe_lifts_its_group_subgame_alone(monkeypatch):
+    # probes of the whole arena lifted 33 x 400 = 13,200 vertices here
+    a = gen_random_arena(400, 3, 10, 1)
+    sizes = []
+    monkeypatch.setattr("mpgsolver.values.reweight",
+                        lambda g, nu: sizes.append(g.n) or reweight(g, nu))
+    solve_values(a)
+    assert len(sizes) == 33
+    assert sum(sizes) <= 7000
+
+
+def test_a_group_with_a_dead_end_is_an_internal_error(monkeypatch):
+    # a measure finite at p and r alone splits them from q, and p's only
+    # arc leads to q, out of the winners' subgame
+    a = Arena(["p", "q", "r"], [0, 0, 0],
+              [(0, 1, 0), (1, 0, 0), (1, 1, -5), (2, 2, 5)])
+    monkeypatch.setattr(
+        energy, "least_sepm",
+        lambda arena: energy.EnergyFunction(
+            [0, energy.arena_cap(arena) + 1, 0], energy.arena_cap(arena)))
+    with pytest.raises(InternalError, match=r"value group \[1/2, 6\) does "
+                       "not induce a subgame: vertex p has no outgoing arc"):
+        solve_values(a)
 
 
 def test_a_lone_vertex_without_a_self_loop_is_an_internal_error(
