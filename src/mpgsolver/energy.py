@@ -71,7 +71,7 @@ class EnergyFunction:
         return self.values[u] > self.cap
 
     def all_finite(self):
-        return all(x <= self.cap for x in self.values)
+        return not self.values or max(self.values) <= self.cap
 
     def finite_vertices(self):
         """V_f, the vertices mapped below top."""

@@ -18,7 +18,19 @@ incompatible with the current subgame's least progress measure:
      cut, by ``Arena._keep`` as every Player-0 restriction is: it shares
      every other row, so no subgame is rebuilt from the root.  f meets
      the child's progress condition everywhere but at u, so the child's
-     lifting starts its worklist at u;
+     lifting starts its worklist at u.  Two shortcuts, both exact, keep
+     each step cheap:
+     - the sets E_u come from the parent.  A row's set changes only with
+       its own row, the cut one, or with the measure at u or at one of
+       its heads; the vertices whose measure changed, and their
+       predecessors over the child's ``ins``, name the rows to recompute,
+       and every other row keeps its parent's set.  Every node's f is
+       finite, so a row's test is f(u) < f(v) - w (``_cut_set``), and
+       ``incompatible_arcs`` stays the definition;
+     - each child's pruned test is one integer AND per pruned key.  A
+       key's mask has one bit per Player-0 arc of the root, and a child
+       lies inside a pruned key exactly when its mask meets none of the
+       arcs that the pruned key drops;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
@@ -144,13 +156,18 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
         raise NotNuValuedError("reweighted arena is not everywhere winning; "
                                "input is not %s-valued" % (nu,))
     p0 = scaled.vertices_of(0)
+    slot_of = [None] * scaled.n  # vertex -> its slot in p0, None at Player 1
+    for i, u in enumerate(p0):
+        slot_of[u] = i
     sepms = []
     sepm_ids = {}  # measure values -> sepm id
     nodes = []
     # A subgame is its key: the frozenset each p0 vertex keeps, in p0
-    # order.  It indexes nodes and pruned children, and each node keeps it.
+    # order.  It indexes nodes, and each node keeps it.
     node_ids = {}  # key -> node id
-    pruned = []  # keys of pruned children, an antichain under inclusion
+    # The arcs each pruned child drops, as the complement of its key's
+    # mask; the pruned keys are an antichain under inclusion.
+    pruned = []
 
     def emit(key, f, parent_ids):
         if key in node_ids:
@@ -169,41 +186,77 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
         return node.id
 
     # Explicit stack mirroring the recursion: children are pushed in
-    # declaration order and expanded last-first, each with its subgame.
+    # declaration order and expanded last-first, each with its subgame,
+    # the slot it was cut at, its parent's cut sets and measure, and its
+    # key's mask.
     root_key = tuple(frozenset(v for v, _ in scaled.out[u]) for u in p0)
     # One frozenset object per distinct value in each slot, shared by
-    # every key that holds it.
+    # every key and every cut set that holds it.
     slots = [{kept: kept} for kept in root_key]
-    pending = [(emit(root_key, root_f, []), scaled)]
+    # A key's mask has one bit per arc of the root's p0 rows, set when the
+    # key keeps that arc: a key lies inside a pruned key exactly when its
+    # mask meets none of the arcs that the pruned key drops.
+    bits, width = [], 0
+    for kept in root_key:
+        bits.append({v: 1 << (width + k) for k, v in enumerate(kept)})
+        width += len(kept)
+    pending = [(emit(root_key, root_f, []), scaled, None, None, None,
+                (1 << width) - 1)]
     while pending:
-        node_id, sub = pending.pop()
+        node_id, sub, cut_slot, cuts, parent_vals, mask = pending.pop()
         node = nodes[node_id]
         key, f = node.key, sepms[node.sepm_id]
-        for i, u in enumerate(p0):
-            cut = frozenset(v for _, v in incompatible_arcs(sub, f, u))
+        vals = f.values
+        if cuts is None:  # the root
+            stale = range(len(p0))
+            cuts = [None] * len(p0)
+        else:
+            # A row's cut set changes only with its own row (the cut
+            # slot), its vertex's measure, or a head's measure.
+            stale = {cut_slot}
+            if vals != parent_vals:
+                for v, x in enumerate(vals):
+                    if x != parent_vals[v]:
+                        stale.add(slot_of[v])
+                        for u, _ in sub.ins[v]:
+                            stale.add(slot_of[u])
+                stale.discard(None)
+            cuts = list(cuts)
+        for i in stale:
+            cut = _cut_set(sub, vals, p0[i])
+            cuts[i] = slots[i].setdefault(cut, cut)
+        cuts = tuple(cuts)
+        for i, cut in enumerate(cuts):
             if not cut:
                 continue
-            cut = slots[i].setdefault(cut, cut)
             kept = key[:i] + (cut,) + key[i + 1:]  # child's key
             known = node_ids.get(kept)
             if known is not None:
                 # expanded once, and its children's keys differ pairwise
                 nodes[known].parent_ids.append(node_id)
                 continue
-            if any(all(map(frozenset.issubset, kept, other))
-                   for other in pruned):
+            child_mask = mask ^ sum(map(bits[i].__getitem__, key[i] - cut))
+            if not all(map(child_mask.__and__, pruned)):
                 continue  # inside a pruned subgame: pruned too
-            child = sub._keep({u: kept[i]})
-            child_f = (energy.least_sepm(child, seed=f, cut=u)
+            child = sub._keep({p0[i]: cut})
+            child_f = (energy.least_sepm(child, seed=f, cut=p0[i])
                        if seed_children else energy.least_sepm(child))
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
-                pruned = [other for other in pruned
-                          if not all(map(frozenset.issubset, other, kept))]
-                pruned.append(kept)
+                dropped = ~child_mask
+                pruned = [other for other in pruned if ~other & dropped]
+                pruned.append(dropped)
                 continue
-            pending.append((emit(kept, child_f, [node_id]), child))
+            pending.append((emit(kept, child_f, [node_id]), child, i, cuts,
+                            vals, child_mask))
     return EnergyLattice(sepms), SubgameLattice(nodes)
+
+
+def _cut_set(arena, vals, u):
+    """The heads of ``incompatible_arcs`` at the Player-0 vertex u, for a
+    measure ``vals`` finite everywhere: there the test is f(u) < f(v) - w."""
+    x = vals[u]
+    return frozenset([v for v, w in arena.out[u] if x < vals[v] - w])
 
 
 class DeltaBlock:
@@ -249,13 +302,16 @@ def decompose(arena, nu, lattice, max_listed=None):
     scaled = reweight(arena, nu)
     if not energy.is_sepm(scaled, lattice.root_sepm):
         raise ValueError("lattice enumerated from another game or nu")
-    p0 = scaled.vertices_of(0)
+    n, p0 = scaled.n, scaled.vertices_of(0)
     blocks = []
     for sepm_id, f in enumerate(lattice.sepms):
+        # f is finite everywhere, so f(v) (-) w equals f(u) iff
+        # max(0, f(v) - w) does: the two differ only above the cap
+        vals = f.values
         pools = [[v for v, w in scaled.out[u]
-                  if energy.ominus(f.values[v], w, f.cap) == f.values[u]]
+                  if (vals[v] - w if vals[v] > w else 0) == vals[u]]
                  for u in p0]
-        members = (_strategy(scaled.n, p0, picks)
+        members = (_strategy(n, p0, picks)
                    for picks in itertools.product(*pools))
         if sepm_id:
             members = (s for s in members if delta_membership(scaled, f, s))

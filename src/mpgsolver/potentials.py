@@ -56,21 +56,29 @@ class PositionalStrategy:
 
 
 def _picks(arena, strategy):
-    """The strategy's picks, checked as ``restrict`` says; builds nothing."""
+    """The strategy's picks, one entry per vertex; each row's pick is
+    checked by ``_sigma_row``."""
     picks = strategy.choice
     if len(picks) != arena.n:
         raise StrategyError("strategy has %d entries for %d vertices"
                             % (len(picks), arena.n))
-    for u, row in enumerate(arena.out):
-        v = picks[u]
-        if arena.owner[u] == 1:
-            if v is not None:
-                raise StrategyError("strategy assigns a Player-1 vertex %s"
-                                    % arena.names[u])
-        elif v not in [d for d, _ in row]:
-            raise StrategyError("strategy needs an arc at %s"
-                                % arena.names[u])
     return picks
+
+
+def _sigma_row(arena, u, pick):
+    """G_sigma's arcs out of u: u's row at a Player-1 vertex, which must
+    have no pick, and the picked arc at a Player-0 vertex, which must be
+    one of its own."""
+    row = arena.out[u]
+    if arena.owner[u]:
+        if pick is not None:
+            raise StrategyError("strategy assigns a Player-1 vertex %s"
+                                % arena.names[u])
+        return row
+    for arc in row:
+        if arc[0] == pick:
+            return (arc,)
+    raise StrategyError("strategy needs an arc at %s" % arena.names[u])
 
 
 def restrict(arena, strategy):
@@ -80,6 +88,8 @@ def restrict(arena, strategy):
     of its own arcs at each Player-0 vertex and None at each Player-1 one.
     """
     picks = _picks(arena, strategy)
+    for u, pick in enumerate(picks):
+        _sigma_row(arena, u, pick)
     return arena._keep({u: (v,) for u, v in enumerate(picks) if v is not None})
 
 
@@ -150,11 +160,13 @@ def is_conservative(graph):
 def delta_membership(arena, f, strategy):
     """Is f the least SEPM of G_sigma, the strategy-restricted arena?
 
-    ``arena`` must already be reweighted.  The strategy is checked as
-    ``restrict`` checks it, at every row, before any answer; G_sigma is
-    then read from the arena's own rows, no restriction built.  f must be
-    finite everywhere, as every energy-lattice element is (ValueError
-    otherwise); an f of another cap or length gets False.
+    ``arena`` must already be reweighted.  G_sigma is read from the
+    arena's own rows, no restriction built, in one pass that checks both
+    the strategy, row by row as ``restrict`` does (``_sigma_row``), and
+    f's SEPM inequalities; a bad strategy is a StrategyError before any
+    answer about f.  f must be finite everywhere, as every energy-lattice
+    element is (ValueError otherwise); an f of another cap or length gets
+    False.
 
     Certificate: f is the least SEPM of G_sigma iff f is an SEPM of
     G_sigma along every arc and every vertex reaches a vertex with f = 0
@@ -168,25 +180,25 @@ def delta_membership(arena, f, strategy):
     (f(v) - 1) (-) w = max(0, f(v) (-) w - 1) <= f(u) - 1; and an arc out
     of a vertex outside U sees no larger value at its head.
     """
-    picks = _picks(arena, strategy)
-    if not f.all_finite():
-        raise ValueError("energy lattice elements are finite everywhere")
-    if f.cap != arena_cap(arena) or len(f.values) != arena.n:
-        return False
-    vals = f.values
+    picks, vals = _picks(arena, strategy), f.values
+    finite = f.all_finite()
+    sepm = finite and len(vals) == arena.n and f.cap == arena_cap(arena)
     # With f finite, f(v) (-) w exceeds f(u) iff f(v) - w does, and for a
     # positive f(u) the arc is tight iff f(v) - w = f(u).
     tight_preds = [[] for _ in vals]
-    for u, row in enumerate(arena.out):
-        pick = picks[u]
-        for v, w in row:
-            if pick is not None and v != pick:
-                continue
-            lifted = vals[v] - w
-            if lifted > vals[u]:
-                return False
-            if lifted == vals[u]:
-                tight_preds[v].append(u)
+    for u, pick in enumerate(picks):
+        row = _sigma_row(arena, u, pick)
+        if sepm:
+            for v, w in row:
+                lifted = vals[v] - w
+                if lifted > vals[u]:
+                    sepm = False
+                elif lifted == vals[u]:
+                    tight_preds[v].append(u)
+    if not finite:
+        raise ValueError("energy lattice elements are finite everywhere")
+    if not sepm:
+        return False
     reached = [x == 0 for x in vals]
     stack = [v for v, zero in enumerate(reached) if zero]
     while stack:

@@ -110,14 +110,16 @@ def _nearest(p, q, n):
 def _induce(arena, members, what):
     """The subgame that ``members``, ascending vertices of ``arena``,
     induce: their rows, cut to the arcs between them.  A member left
-    without an arc is an InternalError about ``what``."""
+    without an arc is an InternalError about ``what()``, a callable so
+    that the message is built only when raised."""
     local = {u: i for i, u in enumerate(members)}
     out = []
     for u in members:
         row = [(local[v], w) for v, w in arena.out[u] if v in local]
         if not row:
             raise InternalError("%s does not induce a subgame: vertex %s "
-                                "has no outgoing arc" % (what, arena.names[u]))
+                                "has no outgoing arc"
+                                % (what(), arena.names[u]))
         out.append(row)
     return Arena._from_rows([arena.names[u] for u in members],
                             [arena.owner[u] for u in members],
@@ -188,7 +190,7 @@ def solve_values(arena):
                 vals[verts[i]] = lo
             continue
         if len(members) < sub.n:
-            sub = _induce(sub, members, "value group [%s, %s)"
+            sub = _induce(sub, members, lambda: "value group [%s, %s)"
                           % (Fraction(ln, ld), Fraction(hn, hd)))
             verts = [verts[i] for i in members]
         f = energy.least_sepm(reweight(sub, Fraction(mn, md)))
@@ -213,7 +215,8 @@ def ergodic_partition(arena, vals):
     for u, v in enumerate(vals.vals):
         by_value.setdefault(v, []).append(u)
     return [ErgodicClass(nu, members,
-                         _induce(arena, members, "value class %s" % (nu,)))
+                         _induce(arena, members,
+                                 lambda: "value class %s" % (nu,)))
             for nu, members in by_value.items()]
 
 

@@ -28,6 +28,18 @@ def test_ominus_examples():
     assert ominus(3, 10, 24) == 0    # clamped at zero from below
 
 
+def test_energy_function_range_and_finiteness():
+    # values live in [0, cap + 1]; the first one outside is reported
+    for values, bad in [((0, 5, -1, 9), 5), ((2, -1, 7), -1),
+                        ((4, 4, 3, 0, 6), 6)]:
+        with pytest.raises(InternalError,
+                           match=r"energy value %d outside" % bad):
+            EnergyFunction(values, 3)
+    assert EnergyFunction((0, 3, 3), 3).all_finite()
+    assert not EnergyFunction((0, 4, 3), 3).all_finite()
+    assert EnergyFunction((), 3).all_finite()
+
+
 def test_is_sepm_gamma_ex(gamma_ex):
     scaled = rw_ex(gamma_ex)
     cap = arena_cap(scaled)

@@ -397,6 +397,133 @@ def test_decompose_matches_compatible_walk(gamma_d, random_classes,
     assert walked > members > 0
 
 
+class _Enough(Exception):
+    """Stops an enumeration after a chosen number of basic subgames."""
+
+
+def _reference_enumeration(arena, nu, seed_children, limit=None):
+    """The enumeration written plainly, as (key, sepm id, parent ids,
+    measure) per node: every node computes every row's cut set with
+    ``incompatible_arcs``, and every child scans every pruned key.
+    Stops after ``limit`` nodes."""
+    scaled = reweight(arena, nu)
+    p0 = scaled.vertices_of(0)
+    sepm_ids, nodes, node_ids, pruned = {}, [], {}, []
+
+    def emit(key, f, parent_id):
+        sepm_id = sepm_ids.setdefault(f.values, len(sepm_ids))
+        node_ids[key] = len(nodes)
+        nodes.append((key, sepm_id, [] if parent_id is None else [parent_id],
+                      f))
+        if len(nodes) == limit:
+            raise _Enough
+        return len(nodes) - 1
+
+    root_f = least_sepm(scaled)
+    root_key = tuple(frozenset(v for v, _ in scaled.out[u]) for u in p0)
+    pending = [(emit(root_key, root_f, None), scaled)]
+    try:
+        while pending:
+            node_id, sub = pending.pop()
+            key, _, _, f = nodes[node_id]
+            for i, u in enumerate(p0):
+                cut = frozenset(v for _, v in incompatible_arcs(sub, f, u))
+                if not cut:
+                    continue
+                kept = key[:i] + (cut,) + key[i + 1:]
+                if kept in node_ids:
+                    nodes[node_ids[kept]][2].append(node_id)
+                    continue
+                if any(all(a <= b for a, b in zip(kept, other))
+                       for other in pruned):
+                    continue
+                child = sub._keep({u: cut})
+                child_f = (least_sepm(child, seed=f, cut=u) if seed_children
+                           else least_sepm(child))
+                if not child_f.all_finite():
+                    pruned = [other for other in pruned
+                              if not all(a <= b for a, b in zip(other, kept))]
+                    pruned.append(kept)
+                    continue
+                pending.append((emit(kept, child_f, node_id), child))
+    except _Enough:
+        pass
+    return [(key, sepm_id, parents, f.values)
+            for key, sepm_id, parents, f in nodes]
+
+
+def _enumerated(arena, nu, seed_children=True, limit=None):
+    """``enumerate_lattice``'s nodes in the reference's form, stopped by
+    ``on_subgame`` after ``limit`` nodes."""
+    nodes, sepms = [], []
+
+    def on_subgame(node):
+        nodes.append(node)
+        if len(nodes) == limit:
+            raise _Enough
+
+    try:
+        enumerate_lattice(arena, nu, seed_children=seed_children,
+                          on_sepm=lambda i, f: sepms.append(f),
+                          on_subgame=on_subgame)
+    except _Enough:
+        pass
+    return [(node.key, node.sepm_id, node.parent_ids,
+             sepms[node.sepm_id].values) for node in nodes]
+
+
+@pytest.fixture(scope="module")
+def r40():
+    """r40's one value class: 40 vertices, 28 of them Player 0, and a
+    lattice of more than 40,000 basic subgames."""
+    a = gen_random_arena(40, 4, 1, 7)
+    (cls,) = ergodic_partition(a, solve_values(a))
+    return cls.subgame, cls.nu
+
+
+@pytest.mark.parametrize("seed_children", [True, False])
+def test_enumeration_matches_the_plain_reference(gamma_d, seed_children):
+    # Cut sets carried from the parent and the mask pruned test give the
+    # plain enumeration's nodes, keys, sepm ids, parents and measures.
+    games = [(gamma_d, Fraction(0))]
+    for seed in range(200):
+        a = gen_random_arena(6, 3, 4, seed)
+        games += [(cls.subgame, cls.nu)
+                  for cls in ergodic_partition(a, solve_values(a))]
+    shared = 0
+    for arena, nu in games:
+        want = _reference_enumeration(arena, nu, seed_children)
+        assert _enumerated(arena, nu, seed_children) == want
+        shared += sum(len(parents) > 1 for _, _, parents, _ in want)
+    assert shared > 0
+
+
+def test_enumeration_matches_the_plain_reference_on_r40(r40):
+    sub, nu = r40
+    want = _reference_enumeration(sub, nu, True, limit=3000)
+    assert len(want) == 3000
+    assert _enumerated(sub, nu, limit=3000) == want
+
+
+def test_enumeration_recomputes_only_the_rows_that_changed(r40,
+                                                          monkeypatch):
+    # A node recomputes its cut row and the rows whose vertex or heads
+    # changed measure, not every Player-0 row.
+    calls = []
+    real = lattice._cut_set
+
+    def spy(arena, vals, u):
+        calls.append(u)
+        return real(arena, vals, u)
+
+    monkeypatch.setattr(lattice, "_cut_set", spy)
+    sub, nu = r40
+    nodes = _enumerated(sub, nu, limit=2000)
+    p0 = reweight(sub, nu).vertices_of(0)
+    assert len(nodes) == 2000 and len(p0) == 28
+    assert len(calls) < len(nodes) * len(p0) / 2
+
+
 def test_regrouping_by_potential_reproduces_lattice(gamma_ex):
     # uniqueness: grouping optimal strategies by their least feasible
     # potential recovers exactly the enumerated blocks

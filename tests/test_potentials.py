@@ -114,6 +114,18 @@ def test_delta_membership_rejects_a_top_entry(rw_ex):
         delta_membership(rw_ex, with_top, ex_strategy(rw_ex, "F"))
 
 
+@pytest.mark.parametrize("measure", ["another length", "a top entry"])
+def test_delta_membership_checks_the_strategy_first(rw_ex, measure):
+    # A bad strategy is a StrategyError before any answer about f: an f of
+    # another length would get False, and one with a top entry ValueError.
+    cap = arena_cap(rw_ex)
+    f = (EnergyFunction(F1 + (0,), cap) if measure == "another length"
+         else EnergyFunction(F1[:-1] + (cap + 1,), cap))
+    for choice, message in bad_choices(rw_ex):
+        with pytest.raises(StrategyError, match=message):
+            delta_membership(rw_ex, f, PositionalStrategy(choice))
+
+
 def test_delta_membership_of_another_games_measure_is_false():
     # the cycle x -> y -> z -> x has no negative arc, so its least SEPM is
     # zero everywhere; zeros of another length or cap are not its measures
