@@ -22,8 +22,9 @@ from .potentials import (PositionalStrategy, delta_membership, is_conservative,
                          least_feasible_potential, restrict)
 from .ttpg import (TruncatedValueTable, audit_min_table, convergence_horizon,
                    min_ttpg, min_ttpg_fixpoint, plain_ttpg)
-from .values import (ErgodicClass, ValueAssignment, ergodic_partition,
-                     is_optimal, solve_values, synthesize_optimal)
+from .values import (ErgodicClass, ValueAssignment, certify_optimal,
+                     ergodic_partition, is_optimal, solve_values,
+                     synthesize_optimal)
 from .verify import BatteryReport, verify_arena
 
 __version__ = "0.1.0"
@@ -41,7 +42,7 @@ __all__ = [
     "least_feasible_potential", "restrict",
     "TruncatedValueTable", "audit_min_table", "convergence_horizon",
     "min_ttpg", "min_ttpg_fixpoint", "plain_ttpg",
-    "ErgodicClass", "ValueAssignment",
+    "ErgodicClass", "ValueAssignment", "certify_optimal",
     "ergodic_partition", "is_optimal", "solve_values", "synthesize_optimal",
     "BatteryReport", "verify_arena",
     "__version__",

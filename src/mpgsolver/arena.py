@@ -26,11 +26,11 @@ restriction keeps its game's W, which its text does not carry.
 This module builds every arena.  Input is checked once, where it enters:
 ``parse_arena`` and ``Arena(...)`` check ids, owners, arcs and dead ends,
 ``apply_mask`` checks a mask and ``potentials.restrict`` a strategy.
-Reweightings and value-class subgames are built from checked rows by
-``Arena._from_rows``, and take W from those rows.  Every Player-0
-restriction (masked subgames, strategy restrictions, the lattice's
-children) is cut from its game by ``Arena._keep``, which keeps the game's
-W and shares every row the cut leaves alone.
+Value-class subgames are built from checked rows by ``Arena._from_rows``,
+and ``reweight`` shifts its arena's rows; both take W from their rows.
+Every Player-0 restriction (masked subgames, strategy restrictions, the
+lattice's children) is cut from its game by ``Arena._keep``, which keeps
+the game's W and shares every row the cut leaves alone.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Arena:
     (``_keep``) so that a subgame's measures compare with its game's.
 
     The constructor checks its input.  Parsed and derived arenas come from
-    ``_from_rows`` or ``_keep``, which trust input already checked.
+    ``_from_rows``, ``_keep`` or ``reweight``, which trust input already
+    checked.
     """
 
     __slots__ = ("names", "owner", "out", "scale", "index", "ins", "W")
@@ -311,11 +312,20 @@ def reweight(arena, nu):
     Weight w becomes w*den - num where nu = num/den; the arena's scale is
     multiplied by den so energy levels downstream stay interpretable.
     Python integers are arbitrary precision, so no overflow is possible.
+    It shifts the ``out`` and ``ins`` rows, takes W from the shifted
+    rows, and shares ``names``, ``owner`` and ``index`` with ``arena``.
     """
     nu = Fraction(nu)
     den, num = nu.denominator, nu.numerator
-    out = [[(v, w * den - num) for v, w in row] for row in arena.out]
-    return Arena._from_rows(arena.names, arena.owner, out, arena.scale * den)
+    shifted = Arena.__new__(Arena)
+    shifted.names, shifted.owner = arena.names, arena.owner
+    shifted.index, shifted.scale = arena.index, arena.scale * den
+    shifted.out = tuple([tuple([(v, w * den - num) for v, w in row])
+                         for row in arena.out])
+    shifted.ins = tuple([tuple([(u, w * den - num) for u, w in row])
+                         for row in arena.ins])
+    shifted.W = max(abs(w) for row in shifted.out for _, w in row)
+    return shifted
 
 
 def apply_mask(arena, mask):

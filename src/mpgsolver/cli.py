@@ -58,8 +58,8 @@ def cmd_solve(args):
     log.info("%d value class(es): %s", len(partition),
              ", ".join(_frac_text(c.nu) for c in partition))
     strategy = values_mod.synthesize_optimal(arena, partition)
-    if not values_mod.is_optimal(arena, vals, strategy):
-        raise InternalError("synthesized strategy failed the payoff check")
+    if not values_mod.certify_optimal(arena, vals, partition, strategy):
+        raise InternalError("synthesized strategy failed its certificate")
     if args.format == "json":
         classes = [{
             "nu": _frac_json(cls.nu),

@@ -18,7 +18,8 @@ of ints.
 Grouping vertices by value yields the ergodic partition; each class
 induces a nu-valued subgame that is analyzed independently.  An optimal
 strategy is assembled per class from arcs compatible with the class
-subgame's least progress measure in the reweighted energy game.
+subgame's least progress measure in the reweighted energy game, and
+those measures certify it in O(|E|) (``certify_optimal``).
 """
 
 from __future__ import annotations
@@ -245,15 +246,117 @@ def synthesize_optimal(arena, classes):
     return PositionalStrategy(choice)
 
 
+def certify_optimal(arena, vals, classes, strategy):
+    """Do the class measures certify that the strategy secures ``vals``?
+
+    ``classes`` is the ergodic partition of ``vals``, and each class C of
+    value nu = num/den supplies f = ``C.least_sepm()``.  G_sigma is the
+    arena with each Player-0 row cut to its pick.  In O(|E|), reading the
+    arena's own rows and w' = w*den - num, so that neither the lifting
+    nor the class subgames are trusted, it checks:
+
+    (a) sigma stays in its class: it has one entry per vertex, None at
+        each Player-1 vertex and one of its own arcs at each Player-0
+        vertex.  No arc of G_sigma ends at a lower printed value, so a
+        Player-1 arc that leaves C ends higher; a Player-0 pick that
+        leaves C leaves its vertex no arc inside C, and (c) rejects it.
+        The classes cover the arena once, each vertex printed at its
+        class's value, and each class's f is finite;
+    (b) f is a potential for sigma: f(u) >= f(v) - w' on every arc of
+        G_sigma inside C;
+    (c) a zero-weight cycle is reachable: every vertex of C reaches, over
+        G_sigma's arcs inside C, a cycle of tight arcs, f(u) = f(v) - w'.
+        Peeling the vertices with no tight arc to a vertex still left
+        leaves those on or before a tight cycle; one reverse search from
+        them must cover the arena.
+
+    Why this is exact.  By (a) a play of sigma leaves a class only upward,
+    so every cycle reachable from u lies in one class C' of value
+    nu' >= printed(u), and by (b) its w' sum to at least the change of f
+    around it, 0: its mean is at least nu'.  By (c) u reaches a cycle in
+    its own class whose w' sum to 0 exactly, of mean printed(u).  So
+    sigma's payoff, the least mean of a reachable cycle, equals the
+    printed values, which is what ``is_optimal`` asks Karp to check.  For
+    the synthesized sigma and correct values all three hold: sigma's arcs
+    are compatible with f, so (b) holds, and u reaches a cycle of mean
+    nu inside C, whose w' sum to 0 with slacks >= 0, so every arc of it is
+    tight.  The check is one-sided: it rejects optimal strategies that f
+    does not witness, such as an optimal pick that is not compatible.
+    """
+    n = arena.n
+    printed, picks = vals.vals, strategy.choice
+    if len(printed) != n or len(picks) != n:
+        return False
+    nus = sorted({cls.nu for cls in classes})
+    rank = {nu: r for r, nu in enumerate(nus)}
+    shift = [(nu.numerator, nu.denominator) for nu in nus]  # by rank
+    where = [None] * n  # each vertex's class rank
+    level = [0] * n     # each vertex's f, in its class's scale
+    for cls in classes:
+        r, nu, f = rank[cls.nu], cls.nu, cls.least_sepm()
+        if len(f.values) != len(cls.vertices) or not f.all_finite():
+            return False
+        for u, x in zip(cls.vertices, f.values):
+            if where[u] is not None or printed[u] != nu:
+                return False
+            where[u], level[u] = r, x
+    if None in where:
+        return False
+    owner, out = arena.owner, arena.out
+    arcs_in = [[] for _ in range(n)]   # G_sigma's arcs inside a class,
+    tight_in = [[] for _ in range(n)]  # and its tight ones, reversed
+    exits = [0] * n                    # tight arcs out of each vertex
+    for u in range(n):
+        r, x, pick = where[u], level[u], picks[u]
+        num, den = shift[r]
+        if owner[u]:
+            if pick is not None:
+                return False
+            row = out[u]
+        else:
+            row = [arc for arc in out[u] if arc[0] == pick]
+            if not row:
+                return False
+        for v, w in row:
+            if where[v] != r:
+                if where[v] < r:
+                    return False
+                continue
+            slack = x - level[v] + w * den - num
+            if slack < 0:
+                return False
+            arcs_in[v].append(u)
+            if not slack:
+                tight_in[v].append(u)
+                exits[u] += 1
+    stack = [u for u in range(n) if not exits[u]]
+    while stack:
+        for u in tight_in[stack.pop()]:
+            exits[u] -= 1
+            if not exits[u]:
+                stack.append(u)
+    reached = [bool(k) for k in exits]
+    stack = [u for u in range(n) if reached[u]]
+    while stack:
+        for u in arcs_in[stack.pop()]:
+            if not reached[u]:
+                reached[u] = True
+                stack.append(u)
+    return all(reached)
+
+
 def is_optimal(arena, vals, strategy):
     """Does the strategy secure the exact value from every vertex?
 
+    The independent check, for tests, ``mpg verify`` and the demos, which
+    may pass in any strategy; ``mpg solve`` certifies its own strategy
+    with ``certify_optimal`` instead, in O(|E|) and without Karp.
     The payoff of a fixed strategy from v is the minimum mean weight over
     cycles reachable from v in the strategy-restricted graph, evaluated by
-    the brute-force oracle; optimality is payoff == value everywhere (the
-    payoff can never exceed the value).  For a nu-valued arena this is
-    equivalent to the restricted reweighted graph being conservative.
-    Values of another length (another game's) get False.
+    the oracle's Karp per component; optimality is payoff == value
+    everywhere (the payoff can never exceed the value).  For a nu-valued
+    arena this is equivalent to the restricted reweighted graph being
+    conservative.  Values of another length (another game's) get False.
     """
     from . import oracle  # local import: oracle depends on this module
 

@@ -8,6 +8,7 @@ from mpgsolver import (Arena, ArenaFormatError, MaskError, SubgameMask,
                        apply_mask, decompose, enumerate_lattice,
                        ergodic_partition, least_sepm, parse_arena, restrict,
                        reweight, serialize_arena, solve_values)
+from mpgsolver import values as values_mod
 from mpgsolver.oracle import all_strategies, gen_random_arena
 
 
@@ -375,6 +376,32 @@ def test_parsed_files_match_checked_construction(path):
             arcs.append((names.index(fields[1]), names.index(fields[2]),
                          int(fields[3])))
     assert_same_slots(parse_arena(text), Arena(names, owners, arcs))
+
+
+def test_reweight_matches_a_rebuild_on_every_probe(monkeypatch):
+    # reweight shifts its arena's rows: on every probe and class measure
+    # of the 200-arena corpus it builds what _from_rows rebuilds from the
+    # shifted out rows, ins and index included, which == does not compare
+    probes = []
+
+    def spy(arena, nu):
+        shifted = reweight(arena, nu)
+        probes.append((arena, Fraction(nu), shifted))
+        return shifted
+    monkeypatch.setattr(values_mod, "reweight", spy)
+    for seed in range(200):
+        a = gen_random_arena(6, 3, 4, seed)
+        for cls in ergodic_partition(a, solve_values(a)):
+            cls.least_sepm()
+    assert len(probes) > 400
+    for arena, nu, shifted in probes:
+        den, num = nu.denominator, nu.numerator
+        rebuilt = Arena._from_rows(
+            arena.names, arena.owner,
+            [[(v, w * den - num) for v, w in row] for row in arena.out],
+            arena.scale * den)
+        assert_same_slots(shifted, rebuilt)
+        assert shifted.index is arena.index
 
 
 @pytest.mark.parametrize("n,seed", [(5, s) for s in range(8)]

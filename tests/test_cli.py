@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from mpgsolver import energy, lattice as lattice_mod
+from mpgsolver import energy, lattice as lattice_mod, oracle
 from mpgsolver import values as values_mod
 from mpgsolver.cli import build_parser, main
 from mpgsolver.errors import InternalError
@@ -377,6 +377,25 @@ def test_solve_computes_each_class_measure_once(capsys, data_dir,
     assert classes >= 1
     assert calls["inside"] > 0
     assert calls["outside"] == classes
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_certifies_without_karp(capsys, data_dir, monkeypatch, fmt):
+    # mpg solve checks its strategy with the class measures' certificate:
+    # neither the oracle's Karp nor is_optimal is on its path.
+    calls = []
+    for module, name in ((oracle, "payoff_vector"),
+                         (values_mod, "is_optimal")):
+        def spy(*args, name=name, fn=getattr(module, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(module, name, spy)
+    paths = sorted(data_dir.glob("*.mpg"))
+    assert len(paths) >= 4
+    for path in paths:
+        code, out, _ = run_cli(capsys, "solve", str(path), "--format", fmt)
+        assert code == 0 and out
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from mpgsolver import (Arena, InternalError, ValueAssignment, compatible_arcs,
-                       energy, ergodic_partition, is_optimal, least_sepm,
-                       parse_arena, reweight, solve_values, synthesize_optimal,
-                       values, winning_regions)
+from mpgsolver import (Arena, InternalError, ValueAssignment, certify_optimal,
+                       compatible_arcs, energy, ergodic_partition, is_optimal,
+                       least_sepm, parse_arena, reweight, solve_values,
+                       synthesize_optimal, values, winning_regions)
 from mpgsolver.oracle import exhaustive_opt, gen_random_arena
 from mpgsolver.potentials import PositionalStrategy
 
@@ -381,6 +381,121 @@ def test_synthesized_always_optimal_random():
         vals = solve_values(a)
         strategy = synthesize_optimal(a, ergodic_partition(a, vals))
         assert is_optimal(a, vals, strategy)
+
+
+def solved(arena, vals=None):
+    """Values (solved unless given), their classes and the synthesized
+    strategy."""
+    vals = solve_values(arena) if vals is None else vals
+    classes = ergodic_partition(arena, vals)
+    return vals, classes, synthesize_optimal(arena, classes)
+
+
+CORPUS = [gen_random_arena(6, 3, 4, seed) for seed in range(200)]
+
+
+def test_certificate_accepts_the_synthesized_strategy(gamma_ex, gamma_d):
+    larger = [gen_random_arena(n, 3, 10, 1) for n in (50, 200, 1000)]
+    for a in CORPUS + larger + [gamma_ex, gamma_d]:
+        vals, classes, s = solved(a)
+        assert certify_optimal(a, vals, classes, s)
+
+
+def test_certificate_accepts_no_deviation_that_is_not_optimal():
+    # Every one-arc deviation of the synthesized strategy on the corpus.
+    # The certificate is one-sided: it may reject an optimal deviation
+    # that the class measure does not witness, but accepts only optimal
+    # ones, and never a pick that leaves its class.
+    accepted = rejected_optimal = 0
+    for a in CORPUS:
+        vals, classes, s = solved(a)
+        for u in a.vertices_of(0):
+            for v, _ in a.out[u]:
+                if v == s.choice[u]:
+                    continue
+                choice = list(s.choice)
+                choice[u] = v
+                t = PositionalStrategy(choice)
+                if certify_optimal(a, vals, classes, t):
+                    assert is_optimal(a, vals, t)
+                    assert vals.vals[v] == vals.vals[u]
+                    accepted += 1
+                elif is_optimal(a, vals, t):
+                    rejected_optimal += 1
+    assert accepted > 0 and rejected_optimal > 0
+
+
+def test_certificate_rejects_a_pick_that_breaks_the_potential(gamma_ex):
+    # sigma(E)=F is optimal and stays in E's class, but (E, F) is not
+    # compatible: f(E) < f(F) - w', so f is no potential for it
+    vals, classes, s = solved(gamma_ex)
+    idx = gamma_ex.index
+    choice = list(s.choice)
+    choice[idx["E"]] = idx["F"]
+    t = PositionalStrategy(choice)
+    assert is_optimal(gamma_ex, vals, t)
+    assert not certify_optimal(gamma_ex, vals, classes, t)
+
+
+def test_certificate_rejects_a_player_1_arc_into_a_lower_value():
+    # x (Player 1) may move to y, of printed value -1 below x's printed 0:
+    # each class's measure is finite, and only that arc gives it away
+    a = Arena(["x", "y"], [1, 0], [(0, 0, 0), (0, 1, 0), (1, 1, -1)])
+    vals = ValueAssignment([0, -1])
+    _, classes, s = solved(a, vals)
+    assert all(cls.least_sepm().all_finite() for cls in classes)
+    assert not is_optimal(a, vals, s)
+    assert not certify_optimal(a, vals, classes, s)
+
+
+def test_certificate_rejects_a_pick_outside_its_class():
+    # p printed 0 picks q, printed 1: the pick leaves p's class upward
+    a = Arena(["p", "q"], [0, 0], [(0, 0, 0), (0, 1, 0), (1, 1, 1)])
+    vals = ValueAssignment([0, 1])
+    _, classes, _ = solved(a, vals)
+    up = PositionalStrategy([1, 1])
+    assert not is_optimal(a, vals, up)
+    assert not certify_optimal(a, vals, classes, up)
+    assert certify_optimal(a, vals, classes, PositionalStrategy([0, 1]))
+
+
+def test_certificate_rejects_values_below_the_payoff():
+    # printed 0 on p's loop of weight 1: f = 0 is a finite potential for
+    # sigma, but no cycle is tight, so nothing shows a cycle of mean 0
+    a = Arena(["p", "q"], [0, 1], [(0, 0, 1), (0, 1, 0), (1, 1, 2)])
+    vals = ValueAssignment([0, 2])
+    _, classes, s = solved(a, vals)
+    assert s.choice == (0, None)
+    assert not is_optimal(a, vals, s)
+    assert not certify_optimal(a, vals, classes, s)
+
+
+def test_certificate_rejects_bad_cycle_choice():
+    # the arena and ``bad`` of test_is_optimal_rejects_bad_cycle_choice
+    a = Arena(["p", "q", "r"], [0, 1, 1],
+              [(0, 1, 1), (1, 0, 1), (0, 2, 0), (2, 2, 0)])
+    vals, classes, s = solved(a)
+    bad = PositionalStrategy([2, None, None])
+    assert not certify_optimal(a, vals, classes, bad)
+    assert certify_optimal(a, vals, classes, s)
+
+
+def test_certificate_rejects_inputs_of_another_shape(gamma_ex):
+    vals, classes, s = solved(gamma_ex)
+    for choice in (s.choice[:-1], s.choice + (None,)):
+        assert not certify_optimal(gamma_ex, vals, classes,
+                                   PositionalStrategy(choice))
+    longer = ValueAssignment(vals.vals + (vals.vals[0],))
+    assert not certify_optimal(gamma_ex, longer, classes, s)
+    shifted = ValueAssignment([v + 1 for v in vals.vals])
+    assert not certify_optimal(gamma_ex, shifted, classes, s)
+    assert not certify_optimal(gamma_ex, vals, [], s)
+    assert not certify_optimal(gamma_ex, vals, classes * 2, s)
+    idx = gamma_ex.index
+    assigned = list(s.choice)
+    assigned[idx["A"]] = idx["B"]  # A is a Player-1 vertex
+    assert not certify_optimal(gamma_ex, vals, classes,
+                               PositionalStrategy(assigned))
 
 
 def test_value_json(gamma_ex):
