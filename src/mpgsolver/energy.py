@@ -179,7 +179,8 @@ def _jump(arena, f, top, region):
     for v in inside:
         member[v] = True
     arcs = [()] * n  # v -> its kept arcs (x, (n+1)*w + 1) with x in S
-    d = [0] * n  # (n+1)*g, from the clamp of v's least exit f(x) - w
+    lows = [0] * n  # v -> f(x) - w of its exit (Player 0: least), or top
+    d = [0] * n  # (n+1)*g, from the clamp of lows
     ties = []  # (v, arcs tied for best, their f(x) - w): Player-1 v
     for v in inside:
         kept = []
@@ -212,11 +213,13 @@ def _jump(arena, f, top, region):
                     elif y - w < low:
                         low = y - w
         arcs[v] = kept
-        # top reads 2*top: what falls from it over < |S| arcs reads top
-        d[v] = 0 if low <= 0 else scale * (low if low < top else 2 * top)
-    start = [d[v] for v in inside] if ties else None
+        lows[v] = low
     raised = []
     for passes in range(1, 5):
+        for v in inside:
+            low = lows[v]
+            # top reads 2*top: what falls from it over < |S| arcs reads top
+            d[v] = 0 if low <= 0 else scale * (low if low < top else 2 * top)
         frozen = _fall(inside, arcs, d, n)
         for v in inside:
             if frozen is None or not frozen[v]:
@@ -234,16 +237,12 @@ def _jump(arena, f, top, region):
                 tied.append(tied.pop(0))
                 x, w = tied[0]
                 if member[x]:
-                    arcs[v], low = ((x, scale * w + 1),), top
+                    arcs[v], lows[v] = ((x, scale * w + 1),), top
                 else:
-                    arcs[v] = ()
+                    arcs[v], lows[v] = (), low
                 turned.add(v)
-                start[inside.index(v)] = (
-                    0 if low <= 0 else scale * (low if low < top else 2 * top))
         if not turned:
             break
-        for v, s in zip(inside, start):
-            d[v] = s
     if passes > 1:
         up = set(raised)
         raised = [v for v in inside if v in up]

@@ -27,14 +27,14 @@ incompatible with the current subgame's least progress measure:
        and every other row keeps its parent's set.  Every node's f is
        finite, so a row's test is f(u) < f(v) - w (``_cut_set``), and
        ``incompatible_arcs`` stays the definition;
-     - each child's pruned test is one integer AND per pruned key.  A
-       key's mask has one bit per Player-0 arc of the root, and a child
-       lies inside a pruned key exactly when its mask meets none of the
-       arcs that the pruned key drops;
+     - a subgame is one integer, with one bit per Player-0 arc of the
+       root.  A child is its parent's integer with row u's bits replaced
+       by E_u's, and it lies inside a pruned subgame exactly when it
+       keeps none of the arcs that one drops: one AND per pruned subgame;
   3. recurse into the kept children, last discovered first.
 
 One exact-membership index per kind of element, subgames keyed by their
-canonical arc sets and measures by their value vectors, guarantees each
+integers and measures by their value vectors, guarantees each
 subgame and each measure is emitted exactly once.  The visited subgames,
 root included, form the basic-subgame lattice; taking least measures is
 the onto, antitone map to the energy lattice, and it can identify
@@ -68,30 +68,37 @@ def incompatible_arcs(arena, f, u):
 
 
 class SubgameNode:
-    """One basic subgame: its key (the destination set each vertex of the
-    shared tuple ``p0`` keeps), its measure, and its discoverers."""
+    """One basic subgame: ``kept``, whose bit b is set when it keeps
+    Player-0 arc b of the root, read through the shared table ``rows`` of
+    (vertex, ((head, bit), ...)); its measure; and its discoverers."""
 
-    __slots__ = ("id", "key", "p0", "sepm_id", "parent_ids")
+    __slots__ = ("id", "kept", "rows", "sepm_id", "parent_ids")
 
-    def __init__(self, node_id, key, p0, sepm_id, parent_ids):
+    def __init__(self, node_id, kept, rows, sepm_id, parent_ids):
         self.id = node_id
-        self.key = key
-        self.p0 = p0
+        self.kept = kept
+        self.rows = rows
         self.sepm_id = sepm_id
         self.parent_ids = list(parent_ids)
 
     @property
+    def key(self):
+        """The destination set each Player-0 vertex keeps, in vertex order,
+        decoded from ``kept`` on each read."""
+        kept = self.kept
+        return tuple(frozenset([v for v, bit in row if kept & bit])
+                     for _, row in self.rows)
+
+    @property
     def mask(self):
-        """This subgame's ``SubgameMask``, built from the key on each read."""
-        return SubgameMask({u: tuple(sorted(kept))
-                            for u, kept in zip(self.p0, self.key)})
+        """This subgame's ``SubgameMask``, decoded on each read."""
+        return SubgameMask({u: tuple(sorted(heads))
+                            for (u, _), heads in zip(self.rows, self.key)})
 
     def removed_arcs(self, arena):
         """Arcs of the root arena this subgame drops, canonical order."""
-        removed = []
-        for u, kept in zip(self.p0, self.key):
-            removed.extend((u, v) for v, _ in arena.out[u] if v not in kept)
-        return removed
+        return [(u, v) for (u, _), heads in zip(self.rows, self.key)
+                for v, _ in arena.out[u] if v not in heads]
 
 
 class EnergyLattice:
@@ -159,18 +166,23 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
     slot_of = [None] * scaled.n  # vertex -> its slot in p0, None at Player 1
     for i, u in enumerate(p0):
         slot_of[u] = i
+    # A subgame is one integer, with bit b set when it keeps Player-0 arc
+    # b of the root; ``rows``, which every node shares, names each bit.
+    next_bit = map((1).__lshift__, itertools.count())  # 1, 2, 4, ...
+    rows = tuple((u, tuple((v, next(next_bit)) for v, _ in scaled.out[u]))
+                 for u in p0)
+    bit_of = [dict(row) for _, row in rows]  # slot -> head -> bit
+    row_bits = [sum(bits.values()) for bits in bit_of]
     sepms = []
     sepm_ids = {}  # measure values -> sepm id
     nodes = []
-    # A subgame is its key: the frozenset each p0 vertex keeps, in p0
-    # order.  It indexes nodes, and each node keeps it.
-    node_ids = {}  # key -> node id
-    # The arcs each pruned child drops, as the complement of its key's
-    # mask; the pruned keys are an antichain under inclusion.
+    node_ids = {}  # subgame -> node id
+    # Each pruned subgame as the arcs it drops, ~kept: a subgame lies inside
+    # it exactly when it keeps none of them.  They form an antichain.
     pruned = []
 
-    def emit(key, f, parent_ids):
-        if key in node_ids:
+    def emit(kept, f, parent_ids):
+        if kept in node_ids:
             raise InternalError("subgame inserted twice")
         sepm_id = sepm_ids.get(f.values)
         if sepm_id is None:
@@ -178,38 +190,25 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
             sepms.append(f)
             if on_sepm is not None:
                 on_sepm(sepm_id, f)
-        node = SubgameNode(len(nodes), key, p0, sepm_id, parent_ids)
-        node_ids[key] = node.id
+        node = SubgameNode(len(nodes), kept, rows, sepm_id, parent_ids)
+        node_ids[kept] = node.id
         nodes.append(node)
         if on_subgame is not None:
             on_subgame(node)
         return node.id
 
     # Explicit stack mirroring the recursion: children are pushed in
-    # declaration order and expanded last-first, each with its subgame,
-    # the slot it was cut at, its parent's cut sets and measure, and its
-    # key's mask.
-    root_key = tuple(frozenset(v for v, _ in scaled.out[u]) for u in p0)
-    # One frozenset object per distinct value in each slot, shared by
-    # every key and every cut set that holds it.
-    slots = [{kept: kept} for kept in root_key]
-    # A key's mask has one bit per arc of the root's p0 rows, set when the
-    # key keeps that arc: a key lies inside a pruned key exactly when its
-    # mask meets none of the arcs that the pruned key drops.
-    bits, width = [], 0
-    for kept in root_key:
-        bits.append({v: 1 << (width + k) for k, v in enumerate(kept)})
-        width += len(kept)
-    pending = [(emit(root_key, root_f, []), scaled, None, None, None,
-                (1 << width) - 1)]
+    # declaration order and expanded last-first, each with its arena, the
+    # slot it was cut at, and its parent's cut sets (as bits) and measure.
+    pending = [(emit(sum(row_bits), root_f, []), scaled, None, None, None)]
     while pending:
-        node_id, sub, cut_slot, cuts, parent_vals, mask = pending.pop()
+        node_id, sub, cut_slot, cuts, parent_vals = pending.pop()
         node = nodes[node_id]
-        key, f = node.key, sepms[node.sepm_id]
+        kept, f = node.kept, sepms[node.sepm_id]
         vals = f.values
         if cuts is None:  # the root
             stale = range(len(p0))
-            cuts = [None] * len(p0)
+            cuts = [0] * len(p0)
         else:
             # A row's cut set changes only with its own row (the cut
             # slot), its vertex's measure, or a head's measure.
@@ -223,32 +222,32 @@ def enumerate_lattice(arena, nu, on_sepm=None, on_subgame=None,
                 stale.discard(None)
             cuts = list(cuts)
         for i in stale:
-            cut = _cut_set(sub, vals, p0[i])
-            cuts[i] = slots[i].setdefault(cut, cut)
+            cuts[i] = sum(map(bit_of[i].__getitem__,
+                              _cut_set(sub, vals, p0[i])))
         cuts = tuple(cuts)
         for i, cut in enumerate(cuts):
             if not cut:
                 continue
-            kept = key[:i] + (cut,) + key[i + 1:]  # child's key
-            known = node_ids.get(kept)
+            child = kept & ~row_bits[i] | cut
+            known = node_ids.get(child)
             if known is not None:
-                # expanded once, and its children's keys differ pairwise
+                # expanded once, and its children differ pairwise
                 nodes[known].parent_ids.append(node_id)
                 continue
-            child_mask = mask ^ sum(map(bits[i].__getitem__, key[i] - cut))
-            if not all(map(child_mask.__and__, pruned)):
+            if not all(map(child.__and__, pruned)):
                 continue  # inside a pruned subgame: pruned too
-            child = sub._keep({p0[i]: cut})
-            child_f = (energy.least_sepm(child, seed=f, cut=p0[i])
-                       if seed_children else energy.least_sepm(child))
+            u, row = rows[i]
+            child_sub = sub._keep({u: [v for v, bit in row if cut & bit]})
+            child_f = (energy.least_sepm(child_sub, seed=f, cut=u)
+                       if seed_children else energy.least_sepm(child_sub))
             if not child_f.all_finite():
                 # Player 0 no longer wins everywhere: pruned
-                dropped = ~child_mask
+                dropped = ~child
                 pruned = [other for other in pruned if ~other & dropped]
                 pruned.append(dropped)
                 continue
-            pending.append((emit(kept, child_f, [node_id]), child, i, cuts,
-                            vals, child_mask))
+            pending.append((emit(child, child_f, [node_id]), child_sub, i,
+                            cuts, vals))
     return EnergyLattice(sepms), SubgameLattice(nodes)
 
 
@@ -256,7 +255,7 @@ def _cut_set(arena, vals, u):
     """The heads of ``incompatible_arcs`` at the Player-0 vertex u, for a
     measure ``vals`` finite everywhere: there the test is f(u) < f(v) - w."""
     x = vals[u]
-    return frozenset([v for v, w in arena.out[u] if x < vals[v] - w])
+    return [v for v, w in arena.out[u] if x < vals[v] - w]
 
 
 class DeltaBlock:

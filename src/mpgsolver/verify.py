@@ -58,13 +58,13 @@ def _check_class(report, cls, max_strategies):
     # Enumeration determinism and seeded == unseeded, edge by edge.
     if [f.values for f in x] != [f.values for f in x_plain]:
         report.fail("seeded and unseeded enumerations emit different measures")
-    if [n.key for n in b.nodes] != [n.key for n in b_plain.nodes]:
+    if [n.kept for n in b.nodes] != [n.kept for n in b_plain.nodes]:
         report.fail("seeded and unseeded enumerations visit different subgames")
 
     # No repetitions.
     if len({f.values for f in x}) != len(x):
         report.fail("duplicate extremal measure emitted")
-    if len({n.key for n in b.nodes}) != len(b):
+    if len({n.kept for n in b.nodes}) != len(b):
         report.fail("duplicate basic subgame visited")
 
     # The defining description of the energy lattice.
