@@ -6,13 +6,19 @@ failure (a bug, not bad input), 141 stdout closed by its reader, as a
 shell reports SIGPIPE (nothing is printed then).
 MPG_LOG={quiet,info,debug} tunes logging.  Output is deterministic:
 running a command twice on the same input produces byte-identical output.
+
+JSON output is byte for byte what ``json.dumps(doc, indent=2,
+sort_keys=True)`` prints for the documents of the library's ``to_json``
+methods, but it is laid out straight from the solver's objects: each
+value is formatted once and placed by ``_array`` and ``_object`` at its
+nesting depth.  Ids match ``[A-Za-z0-9_]+`` by the arena grammar, so
+they are quoted without escaping and sort as ``sort_keys`` sorts them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -34,9 +40,58 @@ def _frac_text(v):
     return "%d/%d" % (v.numerator, v.denominator)
 
 
-def _frac_json(v):
-    v = Fraction(v)
-    return {"num": v.numerator, "den": v.denominator}
+def _array(items, depth):
+    """JSON array of the formatted ``items``, opened at nesting ``depth``."""
+    if not items:
+        return "[]"
+    sep = "\n" + "  " * (depth + 1)
+    return "[" + sep + ("," + sep).join(items) + "\n" + "  " * depth + "]"
+
+
+def _object(pairs, depth):
+    """JSON object of (key, formatted value) ``pairs``, given in sorted key
+    order, opened at nesting ``depth``."""
+    if not pairs:
+        return "{}"
+    sep = "\n" + "  " * (depth + 1)
+    return ("{" + sep + ("," + sep).join(['"%s": %s' % pair for pair in pairs])
+            + "\n" + "  " * depth + "}")
+
+
+def _array_chunks(items, depth):
+    """``_array`` of one or more formatted ``items``, yielded one item at a
+    time."""
+    sep = "\n" + "  " * (depth + 1)
+    lead = "[" + sep
+    for item in items:
+        yield lead + item
+        lead = "," + sep
+    yield "\n" + "  " * depth + "]"
+
+
+def _fraction_json(v, depth):
+    return _object([("den", str(v.denominator)), ("num", str(v.numerator))],
+                   depth)
+
+
+def _measure_json(f, names, depth):
+    """``EnergyFunction.to_json``: {cap, scale, values}, top as "top"."""
+    cap = f.cap
+    values = [(name, '"top"' if x > cap else str(x))
+              for name, x in sorted(zip(names, f.values))]
+    return _object([("cap", str(cap)), ("scale", str(f.scale)),
+                    ("values", _object(values, depth + 1))], depth)
+
+
+def _choice_json(strategy, names, depth):
+    """The ``choice`` of ``PositionalStrategy.to_json``."""
+    return _object(sorted([(names[u], '"%s"' % names[v])
+                           for u, v in enumerate(strategy.choice)
+                           if v is not None]), depth)
+
+
+def _names_json(names, depth):
+    return _array(['"%s"' % name for name in names], depth)
 
 
 def _sepm_text(arena, f):
@@ -61,16 +116,19 @@ def cmd_solve(args):
     if not values_mod.certify_optimal(arena, vals, partition, strategy):
         raise InternalError("synthesized strategy failed its certificate")
     if args.format == "json":
-        classes = [{
-            "nu": _frac_json(cls.nu),
-            "vertices": [arena.names[u] for u in cls.vertices],
-            "least_sepm": cls.least_sepm().to_json(cls.subgame),
-        } for cls in partition]
-        print(json.dumps({
-            "values": vals.to_json(arena)["values"],
-            "classes": classes,
-            "strategy": strategy.to_json(arena)["choice"],
-        }, indent=2, sort_keys=True))
+        names = arena.names
+        classes = [_object([
+            ("least_sepm", _measure_json(cls.least_sepm(), cls.subgame.names,
+                                         3)),
+            ("nu", _fraction_json(cls.nu, 3)),
+            ("vertices", _names_json([names[u] for u in cls.vertices], 3)),
+        ], 2) for cls in partition]
+        print(_object([
+            ("classes", _array(classes, 1)),
+            ("strategy", _choice_json(strategy, names, 1)),
+            ("values", _object([(name, _fraction_json(v, 2)) for name, v
+                                in sorted(zip(names, vals.vals))], 1)),
+        ], 0))
     else:
         print("values:")
         for u in range(arena.n):
@@ -127,25 +185,37 @@ def _enum_class(cls, index, list_cap, fmt):
         print("  summary: %d sepms, %d subgames, %d optimal strategies"
               % (len(x), len(b), total))
         return None
-    return {
-        "nu": _frac_json(nu),
-        "vertices": list(sub.names),
-        "extremal_sepms": [f.to_json(sub) for f in x],
-        "basic_subgames": [{
-            "id": node.id,
-            "removed_arcs": [[sub.names[u], sub.names[v]]
-                             for u, v in node.removed_arcs(sub)],
-            "least_sepm_id": node.sepm_id,
-            "parent_ids": list(node.parent_ids),
-        } for node in b.nodes],
-        "decomposition": [{
-            "sepm_id": block.sepm_id,
-            "count": block.count,
-            "strategies": [s.to_json(sub)["choice"]
-                           for s in block.strategies],
-        } for block in blocks],
-        "degenerate": degenerate,
-    }
+    return _enum_class_json(sub, nu, x, b, blocks, degenerate)
+
+
+def _enum_class_json(sub, nu, x, b, blocks, degenerate):
+    """One class object of ``mpg enum --format json``, at nesting depth 2,
+    yielded piece by piece: each basic subgame, block and measure is
+    formatted only when it is written."""
+    names = sub.names
+    arc_json = {(u, v): _names_json((names[u], names[v]), 6)
+                for u, row in enumerate(sub.out) for v, _ in row}
+    yield '{\n      "basic_subgames": '
+    yield from _array_chunks((_object([
+        ("id", str(node.id)),
+        ("least_sepm_id", str(node.sepm_id)),
+        ("parent_ids", _array(list(map(str, node.parent_ids)), 5)),
+        ("removed_arcs", _array(list(map(arc_json.__getitem__,
+                                         node.removed_arcs(sub))), 5)),
+    ], 4) for node in b.nodes), 3)
+    yield ',\n      "decomposition": '
+    yield from _array_chunks((_object([
+        ("count", str(block.count)),
+        ("sepm_id", str(block.sepm_id)),
+        ("strategies", _array([_choice_json(s, names, 6)
+                               for s in block.strategies], 5)),
+    ], 4) for block in blocks), 3)
+    yield ',\n      "degenerate": %s' % ("true" if degenerate else "false")
+    yield ',\n      "extremal_sepms": '
+    yield from _array_chunks((_measure_json(f, names, 4) for f in x), 3)
+    yield ',\n      "nu": ' + _fraction_json(nu, 3)
+    yield ',\n      "vertices": ' + _names_json(names, 3)
+    yield "\n    }"
 
 
 def cmd_enum(args):
@@ -153,10 +223,16 @@ def cmd_enum(args):
     vals = values_mod.solve_values(arena)
     partition = values_mod.ergodic_partition(arena, vals)
     if args.format == "json":
-        payload = {"classes": [
-            _enum_class(cls, i, args.list_strategies, "json")
-            for i, cls in enumerate(partition)]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # Each class is written once it is enumerated and decomposed, one
+        # piece at a time; no whole document is held.
+        out = sys.stdout
+        lead = '{\n  "classes": [\n    '
+        for i, cls in enumerate(partition):
+            chunks = _enum_class(cls, i, args.list_strategies, "json")
+            out.write(lead)
+            out.writelines(chunks)
+            lead = ",\n    "
+        out.write("\n  ]\n}\n")
     else:
         for i, cls in enumerate(partition):
             _enum_class(cls, i, args.list_strategies, "text")
@@ -180,11 +256,11 @@ def cmd_ttpg(args):
         # min_ttpg_fixpoint raises InternalError unless the rows reach -f*.
         f, k_reached, _ = ttpg_mod.min_ttpg_fixpoint(arena)
         if args.format == "json":
-            print(json.dumps({
-                "k_reached": k_reached,
-                "agrees_with_least_sepm": True,
-                "energy": f.to_json(arena),
-            }, indent=2, sort_keys=True))
+            print(_object([
+                ("agrees_with_least_sepm", "true"),
+                ("energy", _measure_json(f, arena.names, 1)),
+                ("k_reached", str(k_reached)),
+            ], 0))
         else:
             print("fixpoint at k = %d" % k_reached)
             print("agrees with least-sepm: yes")
@@ -193,7 +269,12 @@ def cmd_ttpg(args):
     table = (ttpg_mod.plain_ttpg if args.variant == "plain"
              else ttpg_mod.min_ttpg)(arena, args.k)
     if args.format == "json":
-        print(json.dumps(table.to_json(arena), indent=2, sort_keys=True))
+        print(_object([
+            ("kind", '"%s"' % table.kind),
+            ("rows", _array([_array([str(x) for x in row], 2)
+                             for row in table.rows], 1)),
+            ("vertices", _names_json(arena.names, 1)),
+        ], 0))
     else:
         sys.stdout.write(table.to_tsv(arena))
     return 0

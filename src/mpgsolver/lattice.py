@@ -96,9 +96,14 @@ class SubgameNode:
                             for (u, _), heads in zip(self.rows, self.key)})
 
     def removed_arcs(self, arena):
-        """Arcs of the root arena this subgame drops, canonical order."""
-        return [(u, v) for (u, _), heads in zip(self.rows, self.key)
-                for v, _ in arena.out[u] if v not in heads]
+        """Arcs of the root arena this subgame drops, canonical order.
+
+        They are read off ``kept`` in one pass over ``rows``, whose bits
+        follow ``arena``'s rows in canonical order.
+        """
+        kept = self.kept
+        return [(u, v) for u, row in self.rows for v, bit in row
+                if not kept & bit]
 
 
 class EnergyLattice:

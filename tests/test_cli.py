@@ -310,11 +310,15 @@ def test_internal_error_exits_4(capsys, data_dir, monkeypatch):
     assert "internal error: planted" in err
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("unbuffered, options", [
+    (False, []), (True, []),
+    (False, ["--format", "json"]), (True, ["--format", "json"]),
+], ids=["False", "True", "False-json", "True-json"])
 def test_closed_stdout_exits_141_quietly(data_dir, run_cli_process,
-                                         unbuffered):
+                                         unbuffered, options):
     # The reader end is closed before the child starts, so its first write
     # to stdout (or the flush of a buffered stdout) raises BrokenPipeError.
+    # JSON mode writes each class piece by piece, in many writes.
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -322,7 +326,7 @@ def test_closed_stdout_exits_141_quietly(data_dir, run_cli_process,
         env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = run_cli_process("enum", str(data_dir / "gamma_ex.mpg"),
-                               env=env, stdout=write_end)
+                               *options, env=env, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
